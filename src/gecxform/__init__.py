@@ -8,7 +8,7 @@ upper-bound F0.5 analyses.
 
 __version__ = "0.1.0"
 
-from .align import Alignment, align, align_bruteforce, levenshtein_similarity, span_cost
+from .align import Alignment, align_bruteforce, levenshtein_similarity, span_cost
 from .corpus import (
     CorruptionConfig,
     GoldEdit,

@@ -3,12 +3,17 @@
 Hypothesis edits are extracted with a deterministic merged token edit script
 rather than a lattice search; this is reproducible and sufficient for oracle
 analyses, where hypotheses derive from the gold side.
+
+Oracle upper bounds correct each pair over several rounds, tokenizing and
+aligning the text of every round against the gold. One memo, keyed by
+``(text, gold, unit kind)``, holds that work, so a sweep over many
+dictionaries and iteration counts aligns each distinct text once.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Protocol
 
 from .align import AlignmentError
@@ -226,37 +231,40 @@ class _CachedEncoder:
         return ident
 
 
+# Alignment memo of the oracle rounds: (text, gold, unit kind) maps to the
+# (units, spans) lists that gecxform.transform.unit_pairs returns, or to None
+# when the pair cannot be tokenized or aligned.
+AlignmentMemo = dict[tuple[str, str, str], tuple[list[str], list[str]] | None]
+
+
 def _upper_bound_outputs(
     pairs: list[SentencePair],
     dictionary: TransformationDictionary,
     tokenizer: TokenizerMode,
     seed: int,
     iterations: int,
-    unit_data=None,
+    alignments: AlignmentMemo,
 ) -> list[str]:
     encoder = _CachedEncoder(dictionary, seed)
     unit_kind = dictionary.mode.unit
     outputs = []
-    for idx, pair in enumerate(pairs):
+    for pair in pairs:
         current = pair.source
-        for round_no in range(iterations):
+        for _ in range(iterations):
             if current == pair.gold:
-                break  # keep the upper bound monotone in allowed iterations
-            cached = None
-            if round_no == 0 and unit_data is not None:
-                per_pair, _ = unit_data[idx]
-                if per_pair is None:
-                    break  # pair cannot be aligned; leave it uncorrected
-                cached = per_pair[unit_kind]
-            if cached is not None:
-                units, spans = cached
-            else:
+                break  # gold reached: a further round would keep every unit
+            key = (current, pair.gold, unit_kind)
+            if key not in alignments:
                 try:
-                    units, spans = unit_pairs(
+                    alignments[key] = unit_pairs(
                         current, pair.gold, dictionary.mode, dictionary.casing, tokenizer
                     )
                 except (ValueError, AlignmentError):
-                    break
+                    alignments[key] = None
+            cached = alignments[key]
+            if cached is None:
+                break  # pair cannot be aligned; leave it as it stands
+            units, spans = cached
             labels = [encoder.label(u, s) for u, s in zip(units, spans)]
             corrected = []
             for unit, ident in zip(units, labels):
@@ -279,15 +287,21 @@ def oracle_upper_bound(
     seed: int = 0,
     iterations: int = 1,
     annotator: int = 0,
-    unit_data=None,
+    alignments: AlignmentMemo | None = None,
 ) -> tuple[EvalCounts, OracleAnalysisRow]:
     """Score the corpus as if every encoded label were predicted perfectly.
 
-    ``unit_data`` may carry precomputed per-pair alignments from
-    :func:`gecxform.transform.corpus_unit_data` to avoid re-aligning when
-    several dictionaries are evaluated over one corpus.
+    Each round re-tokenizes and re-aligns the text the previous round
+    produced. ``alignments`` memoizes that work by ``(text, gold, unit
+    kind)``: a miss calls :func:`gecxform.transform.unit_pairs` and stores
+    its result, or None when the pair cannot be aligned. Passing one dict to
+    several calls shares the work between dictionaries; every call must then
+    use the same tokenizer and casing. Without it, a fresh memo serves this
+    call alone.
     """
-    outputs = _upper_bound_outputs(pairs, dictionary, tokenizer, seed, iterations, unit_data)
+    if alignments is None:
+        alignments = {}
+    outputs = _upper_bound_outputs(pairs, dictionary, tokenizer, seed, iterations, alignments)
     counts = score(
         (pair.source, out, pair_gold_edits(pair, annotator))
         for pair, out in zip(pairs, outputs)
@@ -317,18 +331,33 @@ def analyze(
     """Upper-bound sweep over every granularity, threshold and iteration setting.
 
     Every pair is tokenized and aligned once; the counting pass and all
-    configurations reuse that work.
+    configurations reuse that work. Later rounds share one memo too, so each
+    distinct ``(text, gold, unit kind)`` is aligned at most once per call.
+    Under the word tokenizer every word is exactly one subword in every
+    round, so only the ``*-at-subword`` configurations are evaluated and each
+    ``*-at-word`` row is a copy with its mode replaced.
     """
-    unit_data = corpus_unit_data(pairs, casing, tokenizer, ("subword", "word"))
-    counters = counts_from_unit_data(unit_data, ALL_MODES, casing)
+    word_is_subword = tokenizer.kind == "word"
+    modes = [m for m in ALL_MODES if not (word_is_subword and m.unit == "word")]
+    unit_kinds = {m.unit for m in modes}
+    unit_data = corpus_unit_data(pairs, casing, tokenizer, unit_kinds)
+    counters = counts_from_unit_data(unit_data, modes, casing)
+    alignments = {
+        (pair.source, pair.gold, kind): None if per_pair is None else per_pair[kind]
+        for pair, (per_pair, _) in zip(pairs, unit_data)
+        for kind in unit_kinds
+    }
     rows = []
     for mode in ALL_MODES:
+        if mode not in modes:
+            twin = GranularityMode(mode.grain, "subword")
+            rows += [replace(row, mode=mode) for row in rows if row.mode == twin]
+            continue
         for min_count in min_counts:
             dictionary = dictionary_from_counts(counters[mode], mode, casing, min_count)
             for iterations in iteration_counts:
                 _, row = oracle_upper_bound(
-                    pairs, dictionary, tokenizer, seed, iterations, annotator,
-                    unit_data=unit_data,
+                    pairs, dictionary, tokenizer, seed, iterations, annotator, alignments
                 )
                 rows.append(row)
     return rows

@@ -308,6 +308,10 @@ def _encode_unit(
     dictionary: TransformationDictionary,
     rng: random.Random,
 ) -> int:
+    if span == "" and dictionary.mode.grain == "string":
+        # string rules carry non-empty payloads and units are never empty,
+        # so no entry can rewrite a unit into nothing
+        return UNCORRECTABLE_ID
     built = build_unit_transformation(
         unit, span, dictionary.mode.grain, dictionary.casing
     )

@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
-from corpusgen import suffix_error_pairs, uncased_noise_config
+import gecxform.evaluate as evaluate_module
+from corpusgen import corrupted_corpus, suffix_error_pairs, uncased_noise_config
 from gecxform.corpus import CorruptionConfig, SentencePair, corrupt_corpus
 from gecxform.editscript import KEEP, UNCORRECTABLE
 from gecxform.evaluate import (
@@ -22,9 +24,11 @@ from gecxform.evaluate import (
 from gecxform.textnorm import CasingMode
 from gecxform.tokenizer import TokenizerMode
 from gecxform.transform import (
+    ALL_MODES,
     GranularityMode,
     TransformationDictionary,
     DictEntry,
+    corpus_unit_data,
     encode,
     induce,
 )
@@ -175,6 +179,48 @@ def test_analyze_row_grid_and_monotonicity():
             f2 = by_config[(mode, 2, iters)]
             f3 = by_config[(mode, 3, iters)]
             assert f1 + 1e-12 >= f2 >= f3 - 1e-12
+
+
+@pytest.mark.parametrize("tokenizer", [TokenizerMode.word(), TokenizerMode.char_chunks(2)],
+                         ids=["word", "chars2"])
+def test_analyze_aligns_each_text_once_and_matches_independent_runs(monkeypatch, tokenizer):
+    pairs = corrupted_corpus(8, 3, uncased_noise_config(3))
+    min_counts, iteration_counts = (1, 2, 3), (1, 4)
+    reference = []
+    for mode in ALL_MODES:
+        for min_count in min_counts:
+            dictionary = induce(pairs, mode, U, min_count, tokenizer=tokenizer)
+            for iterations in iteration_counts:
+                _, row = oracle_upper_bound(pairs, dictionary, tokenizer, 1, iterations)
+                reference.append(row)
+
+    calls = Counter()
+    original = evaluate_module.unit_pairs
+
+    def counting(text, gold, mode, casing, tok):
+        calls[(text, gold, mode.unit)] += 1
+        return original(text, gold, mode, casing, tok)
+
+    monkeypatch.setattr(evaluate_module, "unit_pairs", counting)
+    rows = analyze(pairs, U, tokenizer, min_counts, iteration_counts, seed=1)
+
+    assert rows == reference
+    assert calls, "no pair reached a second round; the corpus exercises nothing"
+    assert max(calls.values()) == 1
+    word_calls = [key for key in calls if key[2] == "word"]
+    if tokenizer.kind == "word":
+        assert not word_calls
+    else:
+        assert word_calls
+
+
+def test_corpus_unit_data_parallel_equals_serial(monkeypatch):
+    pairs = corrupted_corpus(10, 4, uncased_noise_config(4))
+    serial = corpus_unit_data(pairs, U, CHUNKS, ("subword", "word"))
+    monkeypatch.setenv("GEC_XFORM_THREADS", "2")
+    parallel = corpus_unit_data(pairs, U, CHUNKS, ("subword", "word"))
+    assert parallel == serial
+    assert all(per_pair is not None for per_pair, _ in serial)
 
 
 def test_rows_to_tsv_format():

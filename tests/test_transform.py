@@ -8,6 +8,7 @@ from gecxform.editscript import (
     UNCORRECTABLE,
     CharEdit,
     CharTransformation,
+    StringTransformation,
     UncorrectableMarker,
 )
 from gecxform.errors import FormatError
@@ -21,6 +22,7 @@ from gecxform.transform import (
     LabeledSentence,
     TransformationDictionary,
     DictEntry,
+    _encode_unit,
     apply_labels,
     dumps_dictionary,
     encode,
@@ -157,6 +159,20 @@ def test_encode_random_search_finds_equivalent_entry():
     )
     labeled = encode("aa", "a", dictionary, TokenizerMode.word(), rng_seed=1)
     assert labeled.labels == (2,)
+
+
+def test_encode_empty_span_in_string_grain_skips_the_scan():
+    # no string rule yields an empty unit, so the seeded scan is not started
+    dictionary = TransformationDictionary(
+        STRING_WORD, U, 1,
+        (DictEntry(0, 0, UNCORRECTABLE), DictEntry(1, 0, KEEP),
+         DictEntry(2, 1, StringTransformation("append", "s")),
+         DictEntry(3, 1, StringTransformation("replace", " a"))),
+    )
+    rng = random.Random(4)
+    state = rng.getstate()
+    assert _encode_unit(" kocka", "", dictionary, rng) == UNCORRECTABLE_ID
+    assert rng.getstate() == state
 
 
 def test_encode_deterministic_given_seed():
