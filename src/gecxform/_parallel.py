@@ -16,14 +16,13 @@ def thread_cap() -> int:
         return 1
 
 
-def map_ordered(fn, items: list, processes: int | None = None) -> list:
+def map_ordered(fn, items: list) -> list:
     """Apply ``fn`` to every item, preserving input order.
 
-    Runs serially unless the thread cap (or ``processes``) allows more; ``fn``
-    must be picklable and pure.
+    Runs serially unless the thread cap allows more; ``fn`` must be picklable
+    and pure.
     """
-    n = processes if processes is not None else thread_cap()
-    n = min(n, len(items))
+    n = min(thread_cap(), len(items))
     if n <= 1:
         return [fn(item) for item in items]
     chunk = max(1, len(items) // (n * 4))

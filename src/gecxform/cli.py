@@ -43,6 +43,19 @@ EXIT_USAGE = 2
 MODE_CHOICES = ["char-at-subword", "char-at-word", "string-at-subword", "string-at-word"]
 
 
+def _int_at_least(minimum: int):
+    """argparse type: an int no smaller than ``minimum``; violations exit 2."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -88,7 +101,7 @@ def _add_tokenizer_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--vocab", help="vocabulary file for --tokenizer vocab")
     parser.add_argument(
-        "--chunk-size", type=int, default=1,
+        "--chunk-size", type=_int_at_least(1), default=1,
         help="characters per piece for --tokenizer chars (default: 1)",
     )
 
@@ -105,7 +118,6 @@ def cmd_induce(args: argparse.Namespace) -> int:
         min_count=args.min_count,
         synthetic_pairs=synthetic,
         synthetic_limit=args.synthetic_limit,
-        seed=args.seed,
         tokenizer=tokenizer,
     )
     out = Path(args.out)
@@ -160,7 +172,7 @@ def cmd_apply(args: argparse.Namespace) -> int:
                 )
             except (KeyError, ValueError) as exc:
                 raise FormatError(f"{args.labels}:{lineno}: {exc}") from None
-            dst.write(apply_labels(record.get("source", ""), labeled, dictionary) + "\n")
+            dst.write(apply_labels(labeled, dictionary) + "\n")
             count += 1
     _write_manifest(out, "apply", args, [Path(args.labels), Path(args.dictionary)])
     print(f"applied labels to {count} sentences -> {out}")
@@ -243,11 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus", nargs="+", help="corpus files (.m2 or TSV)")
     p.add_argument("--mode", choices=MODE_CHOICES, required=True)
     p.add_argument("--casing", choices=["cased", "uncased"], default="uncased")
-    p.add_argument("--min-count", type=int, default=1, dest="min_count")
+    p.add_argument("--min-count", type=_int_at_least(1), default=1, dest="min_count")
     p.add_argument("--synthetic", help="synthetic corpus file pooled into induction")
-    p.add_argument("--synthetic-limit", type=int, default=1000, dest="synthetic_limit")
+    p.add_argument(
+        "--synthetic-limit", type=_int_at_least(0), default=1000, dest="synthetic_limit"
+    )
     p.add_argument("--annotator", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     _add_tokenizer_flags(p)
     p.set_defaults(func=cmd_induce)
@@ -278,8 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="oracle upper-bound sweep over all granularities")
     p.add_argument("corpus", nargs="+")
     p.add_argument("--casing", choices=["cased", "uncased"], default="uncased")
-    p.add_argument("--min-counts", type=int, nargs="+", default=[1, 2, 3], dest="min_counts")
-    p.add_argument("--iterations", type=int, nargs="+", default=[1, 4])
+    p.add_argument(
+        "--min-counts", type=_int_at_least(1), nargs="+", default=[1, 2, 3], dest="min_counts"
+    )
+    p.add_argument("--iterations", type=_int_at_least(1), nargs="+", default=[1, 4])
     p.add_argument("--annotator", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

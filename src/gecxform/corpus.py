@@ -171,6 +171,16 @@ def load_corpus(path: str | Path, annotator: int = 0) -> list[SentencePair]:
 
 # --- synthetic corruption -----------------------------------------------------
 
+_FLOAT_KEYS = (
+    "substitute_char",
+    "insert_char",
+    "delete_char",
+    "swap_adjacent_chars",
+    "strip_word_diacritics",
+    "toggle_word_casing",
+    "swap_adjacent_words",
+)
+
 
 @dataclass(frozen=True)
 class CorruptionConfig:
@@ -192,15 +202,7 @@ class CorruptionConfig:
     neighbors: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
-        for name in (
-            "substitute_char",
-            "insert_char",
-            "delete_char",
-            "swap_adjacent_chars",
-            "strip_word_diacritics",
-            "toggle_word_casing",
-            "swap_adjacent_words",
-        ):
+        for name in _FLOAT_KEYS:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
@@ -272,17 +274,6 @@ def corrupt_corpus(golds: list[str], config: CorruptionConfig) -> list[SentenceP
         corrupt(gold, config, rng=random.Random(config.seed ^ idx))
         for idx, gold in enumerate(golds)
     ]
-
-
-_FLOAT_KEYS = (
-    "substitute_char",
-    "insert_char",
-    "delete_char",
-    "swap_adjacent_chars",
-    "strip_word_diacritics",
-    "toggle_word_casing",
-    "swap_adjacent_words",
-)
 
 
 def load_corruption_config(path: str | Path) -> CorruptionConfig:

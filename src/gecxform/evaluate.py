@@ -1,8 +1,10 @@
 """Edit-level precision/recall/F0.5, oracle upper bounds, and the correction harness.
 
 Hypothesis edits are extracted with a deterministic merged token edit script
-rather than a lattice search; this is reproducible and sufficient for oracle
-analyses, where hypotheses derive from the gold side.
+rather than a lattice search. This is reproducible, and exact when the gold
+edits come from the same extractor (TSV corpora), but not M2-compatible: an
+annotated span that the minimal script cuts differently never matches, so a
+hypothesis equal to the gold can score 0 (see :func:`score`).
 
 Oracle upper bounds correct each pair over several rounds, tokenizing and
 aligning the text of every round against the gold. One memo, keyed by
@@ -40,10 +42,14 @@ ANALYSIS_HEADER = "mode\tcasing\tmin_count\titerations\tdict_size\tprecision\tre
 EditTuple = tuple[int, int, str]
 
 
+def _precision_recall(tp: int, fp: int, fn: int) -> tuple[float, float]:
+    """Zero proposed edits count as precision 1, zero gold edits as recall 1."""
+    return (tp / (tp + fp) if tp + fp else 1.0), (tp / (tp + fn) if tp + fn else 1.0)
+
+
 def f_beta(tp: int, fp: int, fn: int, beta: float = 0.5) -> float:
     """F measure from micro counts; zero proposed edits count as precision 1."""
-    precision = tp / (tp + fp) if tp + fp else 1.0
-    recall = tp / (tp + fn) if tp + fn else 1.0
+    precision, recall = _precision_recall(tp, fp, fn)
     if precision == 0.0 and recall == 0.0:
         return 0.0
     b2 = beta * beta
@@ -61,9 +67,7 @@ class EvalCounts:
 
     @classmethod
     def from_counts(cls, tp: int, fp: int, fn: int) -> "EvalCounts":
-        precision = tp / (tp + fp) if tp + fp else 1.0
-        recall = tp / (tp + fn) if tp + fn else 1.0
-        return cls(tp, fp, fn, precision, recall, f_beta(tp, fp, fn, 0.5))
+        return cls(tp, fp, fn, *_precision_recall(tp, fp, fn), f_beta(tp, fp, fn, 0.5))
 
 
 def extract_edits(source_tokens: list[str], hypothesis_tokens: list[str]) -> list[EditTuple]:
@@ -104,7 +108,13 @@ def pair_gold_edits(pair: SentencePair, annotator: int = 0) -> list[EditTuple]:
 
 
 def score(items: Iterable[tuple[str, str, list[EditTuple]]]) -> EvalCounts:
-    """Micro-averaged counts over (source, hypothesis, gold_edits) triples."""
+    """Micro-averaged counts over (source, hypothesis, gold_edits) triples.
+
+    Hypothesis edits come from the minimal token edit script and must equal a
+    gold edit exactly. Annotated M2 spans that the script cuts differently
+    never match: ``He go to school yesterday .`` with the annotation
+    ``1 3 -> went to`` scores tp=0, fp=1, fn=1 for the gold sentence itself.
+    """
     tp = fp = fn = 0
     for source, hypothesis, gold_edits in items:
         hyp = set(extract_edits(source.split(), hypothesis.split()))
@@ -183,7 +193,7 @@ def iterate_correct(
         labels = classifier.predict(units, current)
         if len(labels) != len(units):
             raise ValueError("classifier returned a label list of the wrong length")
-        out = apply_labels(current, LabeledSentence(tuple(units), tuple(labels)), dictionary)
+        out = apply_labels(LabeledSentence(tuple(units), tuple(labels)), dictionary)
         if out == current:
             return current, used
         current = out
@@ -208,29 +218,6 @@ class OracleAnalysisRow:
     f_half: float
 
 
-class _CachedEncoder:
-    """Per-dictionary unit labeller with memoized fallback search.
-
-    Which matching entry the random scan lands on varies with the seed, but
-    every match rewrites the unit into the same gold span, so scores are
-    unaffected; memoizing by (unit, span) is therefore safe for upper-bound
-    scoring.
-    """
-
-    def __init__(self, dictionary: TransformationDictionary, seed: int) -> None:
-        self.dictionary = dictionary
-        self.rng = random.Random(seed)
-        self.cache: dict[tuple[str, str], int] = {}
-
-    def label(self, unit: str, span: str) -> int:
-        key = (unit, span)
-        ident = self.cache.get(key)
-        if ident is None:
-            ident = _encode_unit(unit, span, self.dictionary, self.rng)
-            self.cache[key] = ident
-        return ident
-
-
 # Alignment memo of the oracle rounds: (text, gold, unit kind) maps to the
 # (units, spans) lists that gecxform.transform.unit_pairs returns, or to None
 # when the pair cannot be tokenized or aligned.
@@ -245,7 +232,10 @@ def _upper_bound_outputs(
     iterations: int,
     alignments: AlignmentMemo,
 ) -> list[str]:
-    encoder = _CachedEncoder(dictionary, seed)
+    # the seeded scan may land on any matching entry, but every match rewrites
+    # the unit into the same span, so one label per (unit, span) is safe
+    labels: dict[tuple[str, str], int] = {}
+    rng = random.Random(seed)
     unit_kind = dictionary.mode.unit
     outputs = []
     for pair in pairs:
@@ -264,12 +254,12 @@ def _upper_bound_outputs(
             cached = alignments[key]
             if cached is None:
                 break  # pair cannot be aligned; leave it as it stands
-            units, spans = cached
-            labels = [encoder.label(u, s) for u, s in zip(units, spans)]
             corrected = []
-            for unit, ident in zip(units, labels):
+            for unit, span in zip(*cached):
+                if (unit, span) not in labels:
+                    labels[unit, span] = _encode_unit(unit, span, dictionary, rng)
                 result = apply_transformation(
-                    dictionary.transformation_for(ident), unit
+                    dictionary.transformation_for(labels[unit, span]), unit
                 )
                 corrected.append(unit if result is None else result)
             out = detokenize(corrected)
@@ -339,13 +329,12 @@ def analyze(
     """
     word_is_subword = tokenizer.kind == "word"
     modes = [m for m in ALL_MODES if not (word_is_subword and m.unit == "word")]
-    unit_kinds = {m.unit for m in modes}
-    unit_data = corpus_unit_data(pairs, casing, tokenizer, unit_kinds)
+    unit_data = corpus_unit_data(pairs, casing, tokenizer)
     counters = counts_from_unit_data(unit_data, modes, casing)
     alignments = {
         (pair.source, pair.gold, kind): None if per_pair is None else per_pair[kind]
         for pair, (per_pair, _) in zip(pairs, unit_data)
-        for kind in unit_kinds
+        for kind in ("subword", "word")
     }
     rows = []
     for mode in ALL_MODES:

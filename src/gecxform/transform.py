@@ -142,6 +142,17 @@ def _pair_texts(pair) -> tuple[str, str]:
     return pair.source, pair.gold
 
 
+def _units_by_kind(
+    source: str, gold: str, casing: CasingMode, tokenizer: TokenizerMode
+) -> dict[str, tuple[list[str], list[str]]]:
+    """Tokenize and align once; the (units, spans) lists of each unit kind."""
+    seq = tokenize(source, tokenizer, casing)
+    spans = align(seq, gold).span_texts
+    words = group_words(seq)
+    word_spans = ["".join(spans[a:b]) for _, (a, b) in words]
+    return {"subword": (seq.texts(), spans), "word": ([w for w, _ in words], word_spans)}
+
+
 def unit_pairs(
     source: str,
     gold: str,
@@ -150,16 +161,7 @@ def unit_pairs(
     tokenizer: TokenizerMode,
 ) -> tuple[list[str], list[str]]:
     """Tokenize, align, and cut one gold span per unit of the requested mode."""
-    seq = tokenize(source, tokenizer, casing)
-    alignment = align(seq, gold)
-    spans = alignment.span_texts
-    if mode.unit == "subword":
-        return seq.texts(), spans
-    units, unit_spans = [], []
-    for word_text, (a, b) in group_words(seq):
-        units.append(word_text)
-        unit_spans.append("".join(spans[a:b]))
-    return units, unit_spans
+    return _units_by_kind(source, gold, casing, tokenizer)[mode.unit]
 
 
 def build_unit_transformation(
@@ -180,37 +182,23 @@ def build_unit_transformation(
         return None
 
 
-def _pair_mode_units(pair, casing, tokenizer, unit_kinds):
-    """Per-pair unit/span lists for the requested unit kinds, or None on failure."""
+def _pair_unit_data(pair, casing, tokenizer):
+    """Both unit kinds of one pair, or None with a diagnostic on failure."""
     source, gold = _pair_texts(pair)
     try:
-        seq = tokenize(source, tokenizer, casing)
-        alignment = align(seq, gold)
+        return _units_by_kind(source, gold, casing, tokenizer), None
     except (ValueError, AlignmentError) as exc:
         return None, f"{exc} (source={source!r})"
-    spans = alignment.span_texts
-    result = {}
-    if "subword" in unit_kinds:
-        result["subword"] = (seq.texts(), spans)
-    if "word" in unit_kinds:
-        units, unit_spans = [], []
-        for word_text, (a, b) in group_words(seq):
-            units.append(word_text)
-            unit_spans.append("".join(spans[a:b]))
-        result["word"] = (units, unit_spans)
-    return result, None
 
 
-def corpus_unit_data(pairs, casing: CasingMode, tokenizer: TokenizerMode, unit_kinds):
-    """Tokenize and align every pair once, for the requested unit kinds.
+def corpus_unit_data(pairs, casing: CasingMode, tokenizer: TokenizerMode):
+    """Tokenize and align every pair once.
 
     Returns one ``(per_pair, problem)`` entry per pair, where ``per_pair``
     maps each unit kind to its (units, spans) lists, or is None with a
     diagnostic when the pair cannot be processed.
     """
-    worker = partial(
-        _pair_mode_units, casing=casing, tokenizer=tokenizer, unit_kinds=set(unit_kinds)
-    )
+    worker = partial(_pair_unit_data, casing=casing, tokenizer=tokenizer)
     return map_ordered(worker, list(pairs))
 
 
@@ -227,22 +215,6 @@ def counts_from_unit_data(data, modes, casing: CasingMode) -> dict[GranularityMo
                 t = build_unit_transformation(unit, span, mode.grain, casing)
                 counter[UNCORRECTABLE if t is None else t] += 1
     return counters
-
-
-def count_transformations(
-    pairs,
-    modes,
-    casing: CasingMode,
-    tokenizer: TokenizerMode,
-) -> dict[GranularityMode, Counter]:
-    """Count built transformations for several granularities in one pass.
-
-    Pairs that fail to tokenize or align are skipped with a diagnostic.
-    Units whose transformation is unreachable count toward uncorrectable.
-    """
-    unit_kinds = {m.unit for m in modes}
-    data = corpus_unit_data(pairs, casing, tokenizer, unit_kinds)
-    return counts_from_unit_data(data, modes, casing)
 
 
 def dictionary_from_counts(
@@ -278,15 +250,13 @@ def induce(
     min_count: int = 1,
     synthetic_pairs=(),
     synthetic_limit: int = 0,
-    seed: int = 0,
     tokenizer: TokenizerMode = TokenizerMode.word(),
 ) -> TransformationDictionary:
     """Induce a transformation dictionary from authentic plus capped synthetic pairs.
 
-    ``seed`` does not influence induction (which is deterministic); it is
-    accepted so pipelines can carry one seed end to end.
+    Pairs that fail to tokenize or align are skipped with a diagnostic.
+    Units whose transformation is unreachable count toward uncorrectable.
     """
-    del seed
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
     if synthetic_limit < 0:
@@ -294,12 +264,9 @@ def induce(
     work = list(pairs) + list(synthetic_pairs)[:synthetic_limit]
     if not work:
         raise ValueError("induction requires at least one pair")
-    counts = count_transformations(work, (mode,), casing, tokenizer)[mode]
+    data = corpus_unit_data(work, casing, tokenizer)
+    counts = counts_from_unit_data(data, (mode,), casing)[mode]
     return dictionary_from_counts(counts, mode, casing, min_count)
-
-
-def _search_candidates(dictionary: TransformationDictionary) -> list[DictEntry]:
-    return [e for e in dictionary.entries if e.ident != UNCORRECTABLE_ID]
 
 
 def _encode_unit(
@@ -319,7 +286,7 @@ def _encode_unit(
         ident = dictionary.lookup(built)
         if ident is not None:
             return ident
-    candidates = _search_candidates(dictionary)
+    candidates = [e for e in dictionary.entries if e.ident != UNCORRECTABLE_ID]
     rng.shuffle(candidates)
     for entry in candidates:
         if apply_transformation(entry.transformation, unit) == span:
@@ -346,13 +313,8 @@ def encode(
     return LabeledSentence(tuple(units), labels)
 
 
-def apply_labels(
-    source: str,
-    labeled: LabeledSentence,
-    dictionary: TransformationDictionary,
-) -> str:
+def apply_labels(labeled: LabeledSentence, dictionary: TransformationDictionary) -> str:
     """Decode labels back to text; unknown ids raise, inapplicable labels keep the unit."""
-    del source  # units carry the tokenization the labels were produced against
     out = []
     for unit, ident in zip(labeled.units, labeled.labels):
         result = apply_transformation(dictionary.transformation_for(ident), unit)

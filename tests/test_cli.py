@@ -68,6 +68,27 @@ def test_induce_malformed_corpus_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["induce", "--mode", "char-at-word", "--min-count", "0"],
+        ["induce", "--mode", "char-at-word", "--synthetic-limit", "-1"],
+        ["induce", "--mode", "char-at-word", "--tokenizer", "chars", "--chunk-size", "0"],
+        ["analyze", "--min-counts", "2", "0"],
+        ["analyze", "--iterations", "0"],
+    ],
+    ids=["min-count", "synthetic-limit", "chunk-size", "min-counts", "iterations"],
+)
+def test_out_of_range_number_exits_2(fig_files, tmp_path, capsys, argv):
+    corpus, _ = fig_files
+    command, *flags = argv
+    with pytest.raises(SystemExit) as exc:
+        run(command, corpus, *flags, "--out", tmp_path / "out")
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_encode_apply_pipeline(fig_files, tmp_path):
     corpus, vocab = fig_files
     dict_path = tmp_path / "fig.dict"

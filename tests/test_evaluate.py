@@ -29,6 +29,7 @@ from gecxform.transform import (
     TransformationDictionary,
     DictEntry,
     corpus_unit_data,
+    dumps_dictionary,
     encode,
     induce,
 )
@@ -216,11 +217,35 @@ def test_analyze_aligns_each_text_once_and_matches_independent_runs(monkeypatch,
 
 def test_corpus_unit_data_parallel_equals_serial(monkeypatch):
     pairs = corrupted_corpus(10, 4, uncased_noise_config(4))
-    serial = corpus_unit_data(pairs, U, CHUNKS, ("subword", "word"))
+    serial = corpus_unit_data(pairs, U, CHUNKS)
     monkeypatch.setenv("GEC_XFORM_THREADS", "2")
-    parallel = corpus_unit_data(pairs, U, CHUNKS, ("subword", "word"))
+    parallel = corpus_unit_data(pairs, U, CHUNKS)
     assert parallel == serial
     assert all(per_pair is not None for per_pair, _ in serial)
+
+
+def test_unalignable_pairs_are_skipped(caplog):
+    good = corrupted_corpus(12, 5, uncased_noise_config(5))
+    bad = [SentencePair("", "Nic tu není"), SentencePair("kocka leze", "   ")]
+    pairs = good[:4] + bad[:1] + good[4:8] + bad[1:] + good[8:]
+    expected = dumps_dictionary(induce(good, CHAR_SUB, U, min_count=1, tokenizer=CHUNKS))
+    caplog.clear()
+    dictionary = induce(pairs, CHAR_SUB, U, min_count=1, tokenizer=CHUNKS)
+    assert dumps_dictionary(dictionary) == expected
+    skipped = [r for r in caplog.records if "skipping pair" in r.getMessage()]
+    assert len(skipped) == len(bad)
+
+    alignments = {}
+    counts, _ = oracle_upper_bound(pairs, dictionary, CHUNKS, iterations=2,
+                                   alignments=alignments)
+    good_counts, _ = oracle_upper_bound(good, dictionary, CHUNKS, iterations=2)
+    # a bad pair stays its source: no proposed edit, every gold edit missed
+    as_source = score((p.source, p.source, pair_gold_edits(p)) for p in bad)
+    assert as_source.fp == as_source.tp == 0 and as_source.fn > 0
+    assert (counts.tp, counts.fp, counts.fn) == (
+        good_counts.tp, good_counts.fp, good_counts.fn + as_source.fn
+    )
+    assert all(alignments[p.source, p.gold, "subword"] is None for p in bad)
 
 
 def test_rows_to_tsv_format():

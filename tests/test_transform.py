@@ -185,14 +185,14 @@ def test_encode_deterministic_given_seed():
 def test_apply_labels_worked_example():
     dictionary = fig_dictionary()
     labeled = encode(*FIG_PAIR, dictionary, FIG_VOCAB)
-    assert apply_labels(FIG_PAIR[0], labeled, dictionary) == "Gathering leaves"
+    assert apply_labels(labeled, dictionary) == "Gathering leaves"
 
 
 def test_apply_labels_all_keep_is_identity():
     dictionary = fig_dictionary()
     units = (" gathe", "rin", " lea", "fes")
     labeled = LabeledSentence(units, (KEEP_ID,) * 4)
-    assert apply_labels("gatherin leafes", labeled, dictionary) == "gatherin leafes"
+    assert apply_labels(labeled, dictionary) == "gatherin leafes"
 
 
 def test_apply_labels_inapplicable_keeps_unit():
@@ -202,14 +202,14 @@ def test_apply_labels_inapplicable_keeps_unit():
         (DictEntry(0, 0, UNCORRECTABLE), DictEntry(1, 0, KEEP), DictEntry(2, 1, entry)),
     )
     labeled = LabeledSentence((" ab",), (2,))
-    assert apply_labels("ab", labeled, dictionary) == "ab"
+    assert apply_labels(labeled, dictionary) == "ab"
 
 
 def test_apply_labels_unknown_id_raises():
     dictionary = fig_dictionary()
     labeled = LabeledSentence((" x",), (99,))
     with pytest.raises(KeyError):
-        apply_labels("x", labeled, dictionary)
+        apply_labels(labeled, dictionary)
 
 
 def test_encode_apply_round_trip_all_modes():
@@ -229,7 +229,7 @@ def test_encode_apply_round_trip_all_modes():
                 )
                 if UNCORRECTABLE_ID in labeled.labels:
                     continue
-                assert apply_labels(source, labeled, dictionary) == gold
+                assert apply_labels(labeled, dictionary) == gold
 
 
 def test_dictionary_file_round_trip():
