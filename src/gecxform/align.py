@@ -6,6 +6,14 @@ ignore casing, diacritics and the identity of punctuation characters; spans
 are cut from the original gold text. The gold sentence receives one prepended
 space so that its words carry the same leading-space convention as the
 subwords.
+
+The dynamic program is exact and pure Python. Edit distances are computed
+bit-parallel (Myers 1999; Hyyro 2003 for the global distance), one integer
+step per gold character. The span of a subword stops growing once it is so
+much longer than the subword that its weight, at most ``0.5 * ls / glen``
+(trimmed lengths ``ls`` of the subword and ``glen`` of the span), plus the
+best weight left after it cannot reach the best span found; see
+``_solve_dp``.
 """
 
 from __future__ import annotations
@@ -35,23 +43,43 @@ def span_length_bound(subword_len: int) -> int:
     return SPAN_BOUND_BASE + SPAN_BOUND_PER_CHAR * subword_len
 
 
-def edit_distance(a, b) -> int:
-    """Unit-cost Levenshtein distance over two sequences."""
-    if a == b:
-        return 0
+def _peq(pattern: str) -> dict[str, int]:
+    """Per character, the bit mask of its positions in ``pattern``."""
+    peq: dict[str, int] = {}
+    for k, ch in enumerate(pattern):
+        peq[ch] = peq.get(ch, 0) | (1 << k)
+    return peq
+
+
+def edit_distance(a: str, b: str) -> int:
+    """Unit-cost Levenshtein distance, bit-parallel over the characters of ``a``.
+
+    Myers (1999) with the global-distance boundary of Hyyro (2003): ``vp`` and
+    ``vn`` hold the +1/-1 vertical deltas of the current DP column, one bit
+    per character of ``a``, and each character of ``b`` advances the column
+    in a constant number of integer operations. ``_solve_dp`` runs the same
+    step inline.
+    """
     if not a:
         return len(b)
-    if not b:
-        return len(a)
-    if len(b) < len(a):
-        a, b = b, a
-    prev = list(range(len(a) + 1))
-    for j, bc in enumerate(b, 1):
-        cur = [j] + [0] * len(a)
-        for i, ac in enumerate(a, 1):
-            cur[i] = min(prev[i] + 1, cur[i - 1] + 1, prev[i - 1] + (ac != bc))
-        prev = cur
-    return prev[-1]
+    peq = _peq(a)
+    mask = (1 << len(a)) - 1
+    high = 1 << (len(a) - 1)
+    vp, vn, dist = mask, 0, len(a)
+    for ch in b:
+        eq = peq.get(ch, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        hp = vn | ~(xh | vp)
+        hn = vp & xh
+        if hp & high:
+            dist += 1
+        elif hn & high:
+            dist -= 1
+        hp = (hp << 1) | 1
+        vp = ((hn << 1) | ~(xv | hp)) & mask
+        vn = hp & xv
+    return dist
 
 
 def levenshtein_similarity(a: str, b: str) -> float:
@@ -60,6 +88,18 @@ def levenshtein_similarity(a: str, b: str) -> float:
     if longest == 0:
         return 1.0
     return 1.0 - edit_distance(a, b) / longest
+
+
+def _stripped_cost(dist: int, len_a: int, len_b: int) -> float:
+    """Weight of a pair that is not an exact match, from its trimmed strings.
+
+    ``dist`` is the edit distance of the two trimmed strings and ``len_a``,
+    ``len_b`` their lengths: 0.75 when they are equal, else half their
+    Levenshtein similarity.
+    """
+    if dist == 0:
+        return 0.75
+    return 0.5 * (1.0 - dist / (len_a if len_a > len_b else len_b))
 
 
 def span_cost(subword: str, span: str) -> float:
@@ -74,9 +114,7 @@ def span_cost(subword: str, span: str) -> float:
         return 1.0
     sub = subword.strip()
     spn = span.strip()
-    if sub == spn:
-        return 0.75
-    return 0.5 * levenshtein_similarity(sub, spn)
+    return _stripped_cost(edit_distance(sub, spn), len(sub), len(spn))
 
 
 @dataclass(frozen=True)
@@ -141,15 +179,35 @@ def align(subwords: SubwordSequence | Sequence[str], gold: str) -> Alignment:
 
 
 def _solve_dp(normed: list[str], g: str, bounded: bool):
+    """Best weight and spans over the normalized gold ``g``, or None without a cover.
+
+    Rows run from the last subword back; ``w_next[e]`` is the best weight of
+    the later subwords over ``g[e:]``. For each start offset the span grows
+    one character at a time, and the edit distance of the stripped subword
+    to the stripped span advances by one bit-parallel column step (Myers
+    1999, with the global-distance boundary of Hyyro 2003). It is the step
+    of ``edit_distance``, inlined: a generator call per character made
+    alignment about 15% slower.
+
+    The span loop stops early, without changing the result. Once the stripped
+    span is longer than the stripped subword (``glen > ls``), neither an
+    exact nor a trimmed-equal match is possible any more, and the distance is
+    at least ``glen - ls``, so this and every longer span costs at most
+    ``0.5 * ls / glen``; ``glen`` never shrinks as the span grows. With
+    ``sufmax[e]``, the best tail weight at ``e`` or later, no later candidate
+    can then exceed ``0.5 * ls / glen + sufmax[e]``. The loop breaks when that
+    bound is below the best candidate by more than 1e-9, so a candidate that
+    could tie the best, which the tie rules might prefer, is never cut.
+    """
     n = len(normed)
     m = len(g)
-    # tail_ws[j]: g[j:] contains no non-space characters
-    tail_ws = [False] * (m + 1)
-    tail_ws[m] = True
+    # nonspace[j]: the first offset at or after j that is not a space
+    nonspace = list(range(m + 1))
     for j in range(m - 1, -1, -1):
-        tail_ws[j] = tail_ws[j + 1] and g[j] == " "
+        if g[j] == " ":
+            nonspace[j] = nonspace[j + 1]
 
-    w_next = [0.0 if tail_ws[j] else _NEG for j in range(m + 1)]
+    w_next = [0.0 if nonspace[j] == m else _NEG for j in range(m + 1)]
     choices: list[list[int]] = []
     neg = _NEG
 
@@ -158,61 +216,53 @@ def _solve_dp(normed: list[str], g: str, bounded: bool):
         stripped = s.strip()
         ls = len(stripped)
         ns = len(s)
+        half_ls = 0.5 * ls
         limit_default = span_length_bound(ns) if bounded else m
+        sufmax = w_next[:]
+        for e in range(m - 1, -1, -1):
+            if sufmax[e + 1] > sufmax[e]:
+                sufmax[e] = sufmax[e + 1]
+        peq = _peq(stripped)
+        eqs = [peq.get(ch, 0) for ch in g]
+        mask = (1 << ls) - 1
+        # With an empty pattern each step must add 1, which bit 0 of hp does.
+        high = 1 << (ls - 1) if ls else 1
         w_cur = [neg] * (m + 1)
         ci = [0] * (m + 1)
-        krange = range(1, ls + 1)
         for j in range(m + 1):
             best = w_next[j]
             choice = 0
-            limit = min(m - j, limit_default)
-            # Levenshtein row of `stripped` against the growing stripped span,
-            # updated in place one committed character at a time.
-            row = list(range(ls + 1))
-            first_ns = -1          # offset of the first non-space span character
-            committed_end = -1     # offset just past the last committed character
-            pending = 0            # whitespace seen after content, not yet interior
-            glen = 0
-            for l in range(1, limit + 1):
-                pos = j + l - 1
-                ch = g[pos]
-                if ch == " ":
-                    if first_ns < 0:
-                        continue  # whitespace-only spans are never candidates
-                    pending += 1
-                else:
-                    if first_ns < 0:
-                        first_ns = pos
-                    # pending whitespace becomes interior once content follows
-                    for commit in (" " * pending + ch) if pending else ch:
-                        glen += 1
-                        diag = row[0]
-                        row[0] = glen
-                        for k in krange:
-                            above = row[k]
-                            cand_k = row[k - 1] + 1
-                            if above + 1 < cand_k:
-                                cand_k = above + 1
-                            d = diag if stripped[k - 1] == commit else diag + 1
-                            if d < cand_k:
-                                cand_k = d
-                            row[k] = cand_k
-                            diag = above
-                    pending = 0
-                    committed_end = pos + 1
-                tail = w_next[j + l]
+            stop = j + min(m - j, limit_default)
+            first = nonspace[j]  # whitespace-only spans are never candidates
+            exact_end = j + ns if g.startswith(s, j) else -1
+            vp, vn, dist = mask, 0, ls
+            for e in range(first + 1, stop + 1):
+                eq = eqs[e - 1]
+                xv = eq | vn
+                xh = (((eq & vp) + vp) ^ vp) | eq
+                hp = vn | ~(xh | vp)
+                hn = vp & xh
+                if hp & high:
+                    dist += 1
+                elif hn & high:
+                    dist -= 1
+                hp = (hp << 1) | 1
+                vp = ((hn << 1) | ~(xv | hp)) & mask
+                vn = hp & xv
+                # trailing whitespace joins the stripped span only once
+                # content follows it, so the cost changes at content only
+                if g[e - 1] != " ":
+                    glen = e - first
+                    if glen > ls and half_ls / glen + sufmax[e] < best - 1e-9:
+                        break
+                    c = _stripped_cost(dist, ls, glen)
+                tail = w_next[e]
                 if tail == neg:
                     continue
-                if l == ns and g[j : j + l] == s:
-                    c = 1.0
-                elif glen == ls and g[first_ns:committed_end] == stripped:
-                    c = 0.75
-                else:
-                    c = 0.5 * (1.0 - row[ls] / (ls if ls > glen else glen))
-                cand = c + tail
+                cand = (1.0 if e == exact_end else c) + tail
                 if cand > best:
                     best = cand
-                    choice = l
+                    choice = e - j
             w_cur[j] = best
             ci[j] = choice
         w_next = w_cur

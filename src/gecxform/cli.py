@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--synthetic-limit", type=_int_at_least(0), default=1000, dest="synthetic_limit"
     )
-    p.add_argument("--annotator", type=int, default=0)
+    p.add_argument("--annotator", type=_int_at_least(0), default=0)
     p.add_argument("--out", required=True)
     _add_tokenizer_flags(p)
     p.set_defaults(func=cmd_induce)
@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus", nargs="+")
     p.add_argument("--dict", required=True, dest="dictionary")
     p.add_argument("--mode", choices=MODE_CHOICES, help="cross-check against the dictionary")
-    p.add_argument("--annotator", type=int, default=0)
+    p.add_argument("--annotator", type=_int_at_least(0), default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     _add_tokenizer_flags(p)
@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score a hypothesis file against gold edits")
     p.add_argument("corpus", nargs="+")
     p.add_argument("--hypothesis", required=True)
-    p.add_argument("--annotator", type=int, default=0)
+    p.add_argument("--annotator", type=_int_at_least(0), default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)
 
@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--min-counts", type=_int_at_least(1), nargs="+", default=[1, 2, 3], dest="min_counts"
     )
     p.add_argument("--iterations", type=_int_at_least(1), nargs="+", default=[1, 4])
-    p.add_argument("--annotator", type=int, default=0)
+    p.add_argument("--annotator", type=_int_at_least(0), default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     _add_tokenizer_flags(p)

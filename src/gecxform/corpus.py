@@ -71,11 +71,13 @@ def parse_m2(text: str, annotator: int = 0) -> list[SentencePair]:
 
     The gold side is reconstructed by replaying the chosen annotator's edits;
     ``-NONE-`` corrections are treated as empty and noop edits (span -1 -1)
-    are dropped.
+    are dropped. Text with ``A`` lines, noop lines included, but none of the
+    chosen annotator is rejected, as it would replay no edit at all.
     """
     pairs: list[SentencePair] = []
     source: str | None = None
     edits: list[GoldEdit] = []
+    annotators: set[int] = set()
     start_line = 0
 
     def finish() -> None:
@@ -113,6 +115,7 @@ def parse_m2(text: str, annotator: int = 0) -> list[SentencePair]:
                 annot = int(edits_fields[5])
             except ValueError:
                 raise FormatError(f"line {lineno}: malformed A line") from None
+            annotators.add(annot)
             if start == end == -1:
                 continue
             correction = edits_fields[2]
@@ -125,6 +128,9 @@ def parse_m2(text: str, annotator: int = 0) -> list[SentencePair]:
         else:
             raise FormatError(f"line {lineno}: unrecognized line {line!r}")
     finish()
+    if annotators and annotator not in annotators:
+        found = ", ".join(map(str, sorted(annotators)))
+        raise FormatError(f"no A line of annotator {annotator} (annotators: {found})")
     return pairs
 
 
@@ -164,9 +170,12 @@ def load_corpus(path: str | Path, annotator: int = 0) -> list[SentencePair]:
     """Load a corpus by extension: .m2 for M2 blocks, anything else as TSV."""
     path = Path(path)
     text = path.read_text(encoding="utf-8")
-    if path.suffix.lower() == ".m2":
-        return parse_m2(text, annotator=annotator)
-    return parse_tsv(text)
+    try:
+        if path.suffix.lower() == ".m2":
+            return parse_m2(text, annotator=annotator)
+        return parse_tsv(text)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 # --- synthetic corruption -----------------------------------------------------

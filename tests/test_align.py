@@ -1,8 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gecxform.align import (
+    BRUTEFORCE_MAX_GOLD,
+    BRUTEFORCE_MAX_SUBWORDS,
     Alignment,
     AlignmentError,
     align,
@@ -18,33 +22,32 @@ from gecxform.tokenizer import TokenizerMode, tokenize
 FIG_VOCAB = TokenizerMode.vocab_greedy({" gathe", "rin", " lea", "fes"})
 
 
-def lev_oracle(a, b):
-    # plain recursive definition with memo, independent of the two-row DP
-    memo = {}
-
-    def rec(i, j):
-        if i == 0:
-            return j
-        if j == 0:
-            return i
-        key = (i, j)
-        if key not in memo:
-            memo[key] = min(
-                rec(i - 1, j) + 1,
-                rec(i, j - 1) + 1,
-                rec(i - 1, j - 1) + (a[i - 1] != b[j - 1]),
-            )
-        return memo[key]
-
-    return rec(len(a), len(b))
+def lev_cells(a, b):
+    # cell-by-cell two-row DP: the oracle for the bit-parallel edit_distance
+    prev = list(range(len(a) + 1))
+    for j, bc in enumerate(b, 1):
+        cur = [j] + [0] * len(a)
+        for i, ac in enumerate(a, 1):
+            cur[i] = min(prev[i] + 1, cur[i - 1] + 1, prev[i - 1] + (ac != bc))
+        prev = cur
+    return prev[-1]
 
 
-def test_edit_distance_against_oracle():
-    rng = random.Random(21)
-    for _ in range(300):
-        a = "".join(rng.choice("abcx ") for _ in range(rng.randint(0, 8)))
-        b = "".join(rng.choice("abcx ") for _ in range(rng.randint(0, 8)))
-        assert edit_distance(a, b) == lev_oracle(a, b)
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
+# few letters, so that repeated characters and exact matches are common
+DIST_TEXT = st.text(alphabet="aab c", max_size=12)
+
+
+@PROPERTY
+@given(DIST_TEXT, DIST_TEXT)
+def test_edit_distance_against_oracle(a, b):
+    assert edit_distance(a, b) == lev_cells(a, b)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.text(alphabet="ab", min_size=60, max_size=80), st.text(alphabet="ab", max_size=80))
+def test_edit_distance_beyond_one_machine_word(a, b):
+    assert edit_distance(a, b) == lev_cells(a, b)
 
 
 def test_levenshtein_similarity_examples():
@@ -124,22 +127,43 @@ def test_align_bruteforce_worst_case_similarity():
     assert result.total_weight == 0.0
 
 
-def test_align_matches_bruteforce_on_random_instances():
-    rng = random.Random(23)
-    alphabet = "abc xy"
-    for _ in range(250):
-        n_sub = rng.randint(1, 4)
-        subwords = []
-        for i in range(n_sub):
-            body = "".join(rng.choice("abcxy") for _ in range(rng.randint(1, 3)))
-            subwords.append((" " + body) if (i == 0 or rng.random() < 0.5) else body)
-        gold = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 12))).strip()
-        if not gold:
-            gold = "a"
-        fast = align(subwords, gold)
+SUBWORD_BODY = st.text(alphabet="ab.,x", min_size=1, max_size=3)
+SUBWORD = st.builds(lambda lead, body: lead + body, st.sampled_from(["", " ", "  "]), SUBWORD_BODY)
+# whitespace runs, punctuation (folded to one placeholder) and case/diacritics
+GOLD = st.text(alphabet="abAá .,!x", min_size=1, max_size=BRUTEFORCE_MAX_GOLD)
+
+
+def assert_same_alignment(subwords, gold):
+    try:
         slow = align_bruteforce(subwords, gold)
-        assert fast.total_weight == pytest.approx(slow.total_weight, abs=1e-9)
-        assert fast.spans == slow.spans
+    except AlignmentError:
+        with pytest.raises(AlignmentError):
+            align(subwords, gold)
+        return
+    fast = align(subwords, gold)
+    assert fast.spans == slow.spans
+    assert fast.total_weight == pytest.approx(slow.total_weight, abs=1e-9)
+
+
+@PROPERTY
+@given(st.lists(SUBWORD, min_size=1, max_size=BRUTEFORCE_MAX_SUBWORDS), GOLD)
+def test_align_matches_bruteforce_on_random_instances(subwords, gold):
+    assert_same_alignment(subwords, gold)
+
+
+@PROPERTY
+@given(
+    st.sampled_from([" a", "b", ".", " x", " "]),
+    st.text(alphabet="ab.x", min_size=1, max_size=1),
+    st.text(alphabet="ab .x", min_size=BRUTEFORCE_MAX_GOLD - 2, max_size=BRUTEFORCE_MAX_GOLD - 2),
+    st.text(alphabet="ab.x", min_size=1, max_size=1),
+)
+def test_align_matches_bruteforce_after_unbounded_retry(subword, head, middle, last):
+    # one subword must cover " " + gold up to its last character, which is
+    # longer than its span bound, so only the unbounded retry finds a cover
+    gold = head + middle + last
+    assert 1 + len(gold) > span_length_bound(len(subword))
+    assert_same_alignment([subword], gold)
 
 
 def test_span_length_bound_respected_when_feasible():

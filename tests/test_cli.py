@@ -76,8 +76,9 @@ def test_induce_malformed_corpus_exits_2(tmp_path):
         ["induce", "--mode", "char-at-word", "--tokenizer", "chars", "--chunk-size", "0"],
         ["analyze", "--min-counts", "2", "0"],
         ["analyze", "--iterations", "0"],
+        ["analyze", "--annotator", "-1"],
     ],
-    ids=["min-count", "synthetic-limit", "chunk-size", "min-counts", "iterations"],
+    ids=["min-count", "synthetic-limit", "chunk-size", "min-counts", "iterations", "annotator"],
 )
 def test_out_of_range_number_exits_2(fig_files, tmp_path, capsys, argv):
     corpus, _ = fig_files
@@ -87,6 +88,26 @@ def test_out_of_range_number_exits_2(fig_files, tmp_path, capsys, argv):
     assert exc.value.code == 2
     assert "Traceback" not in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+M2_EDIT = "S He go to school .\nA 1 2|||R:VERB|||went|||REQUIRED|||-NONE-|||0\n"
+M2_NOOP = "S He went to school .\nA -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0\n"
+M2_BARE = "S He went to school .\n"
+
+
+@pytest.mark.parametrize("text", [M2_EDIT, M2_NOOP], ids=["edit", "noop"])
+def test_absent_annotator_exits_2_naming_the_file(tmp_path, capsys, text):
+    corpus = tmp_path / "a.m2"
+    corpus.write_text(text, encoding="utf-8")
+    out = tmp_path / "x.dict"
+    code = run("induce", corpus, "--mode", "char-at-word", "--annotator", "1", "--out", out)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(corpus) in err and "annotator 1" in err
+    assert not out.exists()
+    # a file without A lines has no annotator to miss
+    corpus.write_text(M2_BARE, encoding="utf-8")
+    assert run("induce", corpus, "--mode", "char-at-word", "--annotator", "1", "--out", out) == 0
 
 
 def test_encode_apply_pipeline(fig_files, tmp_path):
