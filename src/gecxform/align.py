@@ -82,14 +82,6 @@ def edit_distance(a: str, b: str) -> int:
     return dist
 
 
-def levenshtein_similarity(a: str, b: str) -> float:
-    """1 - editDistance / max(len); 1.0 when both strings are empty."""
-    longest = max(len(a), len(b))
-    if longest == 0:
-        return 1.0
-    return 1.0 - edit_distance(a, b) / longest
-
-
 def _stripped_cost(dist: int, len_a: int, len_b: int) -> float:
     """Weight of a pair that is not an exact match, from its trimmed strings.
 

@@ -91,6 +91,8 @@ def _load_pairs(paths: list[str], annotator: int):
     pairs = []
     for path in paths:
         pairs.extend(load_corpus(path, annotator=annotator))
+    if not pairs:
+        raise FormatError(f"no sentence pairs in {', '.join(paths)}")
     return pairs
 
 
@@ -156,6 +158,21 @@ def cmd_encode(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _parse_labeled(line: str, size: int) -> LabeledSentence:
+    """One record of a label file; ValueError says what is malformed."""
+    record = json.loads(line)
+    if not isinstance(record, dict) or not {"units", "labels"} <= record.keys():
+        raise ValueError("expected an object with units and labels")
+    units, labels = record["units"], record["labels"]
+    if not isinstance(units, list) or not all(isinstance(u, str) for u in units):
+        raise ValueError("units must be a list of strings")
+    if not isinstance(labels, list) or not all(
+        type(label) is int and 0 <= label < size for label in labels
+    ):
+        raise ValueError(f"labels must be a list of dictionary ids 0..{size - 1}")
+    return LabeledSentence(tuple(units), tuple(labels))
+
+
 def cmd_apply(args: argparse.Namespace) -> int:
     dictionary = load_dictionary(args.dictionary)
     out = Path(args.out)
@@ -166,11 +183,8 @@ def cmd_apply(args: argparse.Namespace) -> int:
             if not line:
                 continue
             try:
-                record = json.loads(line)
-                labeled = LabeledSentence(
-                    tuple(record["units"]), tuple(record["labels"])
-                )
-            except (KeyError, ValueError) as exc:
+                labeled = _parse_labeled(line, dictionary.size)
+            except ValueError as exc:
                 raise FormatError(f"{args.labels}:{lineno}: {exc}") from None
             dst.write(apply_labels(labeled, dictionary) + "\n")
             count += 1

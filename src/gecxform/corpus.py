@@ -218,16 +218,10 @@ class CorruptionConfig:
         if not self.alphabet:
             raise ValueError("alphabet must be non-empty")
 
-    def neighbor_map(self) -> dict[str, str]:
-        return dict(self.neighbors)
 
-
-def _substitute(ch: str, config: CorruptionConfig, rng: random.Random) -> str:
-    pool = config.neighbor_map().get(ch)
-    return rng.choice(pool if pool else config.alphabet)
-
-
-def _corrupt_word_chars(word: str, config: CorruptionConfig, rng: random.Random) -> str:
+def _corrupt_word_chars(
+    word: str, config: CorruptionConfig, neighbors: dict[str, str], rng: random.Random
+) -> str:
     chars = list(word)
     out: list[str] = []
     i = 0
@@ -239,7 +233,7 @@ def _corrupt_word_chars(word: str, config: CorruptionConfig, rng: random.Random)
             i += 1
             continue
         if rng.random() < config.substitute_char:
-            ch = _substitute(ch, config, rng)
+            ch = rng.choice(neighbors.get(ch) or config.alphabet)
         out.append(ch)
         if rng.random() < config.insert_char:
             out.append(rng.choice(config.alphabet))
@@ -261,6 +255,7 @@ def corrupt(gold: str, config: CorruptionConfig, rng: random.Random | None = Non
             i += 2
         else:
             i += 1
+    neighbors = dict(config.neighbors)
     out_words = []
     for word in words:
         if rng.random() < config.strip_word_diacritics:
@@ -268,7 +263,7 @@ def corrupt(gold: str, config: CorruptionConfig, rng: random.Random | None = Non
         if rng.random() < config.toggle_word_casing and word and word[0].isalpha():
             first = word[0]
             word = (first.lower() if first.isupper() else first.upper()) + word[1:]
-        word = _corrupt_word_chars(word, config, rng)
+        word = _corrupt_word_chars(word, config, neighbors, rng)
         if word:
             out_words.append(word)
     source = " ".join(out_words)

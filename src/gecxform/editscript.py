@@ -139,27 +139,6 @@ def minimal_edit_script(src, dst) -> list[tuple[int, str, str]]:
     return ops
 
 
-def replay_script(src: str, ops: list[tuple[int, str, str]]) -> str:
-    """Apply a script from :func:`minimal_edit_script` to ``src``."""
-    inserts: dict[int, list[str]] = {}
-    pointwise: dict[int, tuple[str, str]] = {}
-    for pos, kind, payload in ops:
-        if kind == INSERT:
-            inserts.setdefault(pos, []).append(payload)
-        else:
-            pointwise[pos] = (kind, payload)
-    out: list[str] = []
-    for p in range(1, len(src) + 2):
-        out.extend(inserts.get(p, ()))
-        if p <= len(src):
-            action = pointwise.get(p)
-            if action is None:
-                out.append(src[p - 1])
-            elif action[0] == REPLACE:
-                out.append(action[1])
-    return "".join(out)
-
-
 def _ceil_half(n: int) -> int:
     return -(-n // 2)
 

@@ -1,4 +1,4 @@
-"""Edit-level precision/recall/F0.5, oracle upper bounds, and the correction harness.
+"""Edit-level precision/recall/F0.5 and oracle upper bounds.
 
 Hypothesis edits are extracted with a deterministic merged token edit script
 rather than a lattice search. This is reproducible, and exact when the gold
@@ -16,24 +16,22 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Iterable, Protocol
+from typing import Iterable
 
 from .align import AlignmentError
 from .corpus import SentencePair
 from .editscript import INSERT, REPLACE, apply_transformation, minimal_edit_script
 from .textnorm import CasingMode
-from .tokenizer import TokenizerMode, detokenize, group_words, tokenize
+from .tokenizer import TokenizerMode, detokenize
+from .tokenizer import tokenize  # not called here: perfbench/tracing.py wraps this name
 from .transform import (
     ALL_MODES,
     GranularityMode,
-    LabeledSentence,
     TransformationDictionary,
     _encode_unit,
-    apply_labels,
     corpus_unit_data,
     counts_from_unit_data,
     dictionary_from_counts,
-    encode,
     unit_pairs,
 )
 
@@ -123,81 +121,6 @@ def score(items: Iterable[tuple[str, str, list[EditTuple]]]) -> EvalCounts:
         fp += len(hyp - gold)
         fn += len(gold - hyp)
     return EvalCounts.from_counts(tp, fp, fn)
-
-
-class Classifier(Protocol):
-    """Per-unit label predictor; output length must equal input length."""
-
-    def predict(self, units: list[str], context: str) -> list[int]: ...
-
-
-class OracleClassifier:
-    """Predicts the labels that encode the held gold correction."""
-
-    def __init__(
-        self,
-        dictionary: TransformationDictionary,
-        gold: str,
-        tokenizer: TokenizerMode = TokenizerMode.word(),
-        rng_seed: int = 0,
-    ) -> None:
-        self.dictionary = dictionary
-        self.gold = gold
-        self.tokenizer = tokenizer
-        self.rng_seed = rng_seed
-
-    def predict(self, units: list[str], context: str) -> list[int]:
-        labeled = encode(context, self.gold, self.dictionary, self.tokenizer, self.rng_seed)
-        if len(labeled.labels) != len(units):
-            raise ValueError("classifier tokenization disagrees with caller")
-        return list(labeled.labels)
-
-
-class MostFrequentClassifier:
-    """Baseline: every unit gets the dictionary's most frequent label."""
-
-    def __init__(self, dictionary: TransformationDictionary) -> None:
-        best = max(dictionary.entries, key=lambda e: (e.count, -e.ident))
-        self.label = best.ident
-
-    def predict(self, units: list[str], context: str) -> list[int]:
-        del context
-        return [self.label] * len(units)
-
-
-def sentence_units(
-    sentence: str,
-    dictionary: TransformationDictionary,
-    tokenizer: TokenizerMode = TokenizerMode.word(),
-) -> list[str]:
-    """The unit texts (subwords or words) the dictionary's granularity operates on."""
-    seq = tokenize(sentence, tokenizer, dictionary.casing)
-    if dictionary.mode.unit == "subword":
-        return seq.texts()
-    return [word for word, _ in group_words(seq)]
-
-
-def iterate_correct(
-    sentence: str,
-    classifier: Classifier,
-    dictionary: TransformationDictionary,
-    tokenizer: TokenizerMode = TokenizerMode.word(),
-    max_iterations: int = 1,
-) -> tuple[str, int]:
-    """Repeatedly tokenize, predict and apply until a fixed point or the cap."""
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
-    current = sentence
-    for used in range(1, max_iterations + 1):
-        units = sentence_units(current, dictionary, tokenizer)
-        labels = classifier.predict(units, current)
-        if len(labels) != len(units):
-            raise ValueError("classifier returned a label list of the wrong length")
-        out = apply_labels(LabeledSentence(tuple(units), tuple(labels)), dictionary)
-        if out == current:
-            return current, used
-        current = out
-    return current, max_iterations
 
 
 @dataclass(frozen=True)

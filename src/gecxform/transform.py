@@ -23,8 +23,6 @@ from .align import AlignmentError, align
 from .editscript import (
     KEEP,
     UNCORRECTABLE,
-    CharTransformation,
-    StringTransformation,
     Transformation,
     UncorrectableMarker,
     UnreachableSpanError,
@@ -118,12 +116,6 @@ class TransformationDictionary:
             raise KeyError(f"label id {ident} not in dictionary")
         return self.entries[ident].transformation
 
-    def truncated(self, max_rules: int) -> "TransformationDictionary":
-        """Keep uncorrectable, keep, and the ``max_rules`` most frequent rules."""
-        return TransformationDictionary(
-            self.mode, self.casing, self.min_count, self.entries[: max_rules + 2]
-        )
-
 
 @dataclass(frozen=True)
 class LabeledSentence:
@@ -133,13 +125,6 @@ class LabeledSentence:
     def __post_init__(self) -> None:
         if len(self.units) != len(self.labels):
             raise ValueError("units and labels must have equal length")
-
-
-def _pair_texts(pair) -> tuple[str, str]:
-    if isinstance(pair, (tuple, list)):
-        source, gold = pair
-        return source, gold
-    return pair.source, pair.gold
 
 
 def _units_by_kind(
@@ -184,11 +169,10 @@ def build_unit_transformation(
 
 def _pair_unit_data(pair, casing, tokenizer):
     """Both unit kinds of one pair, or None with a diagnostic on failure."""
-    source, gold = _pair_texts(pair)
     try:
-        return _units_by_kind(source, gold, casing, tokenizer), None
+        return _units_by_kind(pair.source, pair.gold, casing, tokenizer), None
     except (ValueError, AlignmentError) as exc:
-        return None, f"{exc} (source={source!r})"
+        return None, f"{exc} (source={pair.source!r})"
 
 
 def corpus_unit_data(pairs, casing: CasingMode, tokenizer: TokenizerMode):
@@ -381,10 +365,6 @@ def loads_dictionary(text: str) -> TransformationDictionary:
         return TransformationDictionary(mode, casing, min_count, tuple(entries))
     except ValueError as exc:
         raise FormatError(str(exc)) from None
-
-
-def save_dictionary(dictionary: TransformationDictionary, path: str | Path) -> None:
-    Path(path).write_text(dumps_dictionary(dictionary), encoding="utf-8")
 
 
 def load_dictionary(path: str | Path) -> TransformationDictionary:

@@ -12,7 +12,6 @@ from gecxform.align import (
     align,
     align_bruteforce,
     edit_distance,
-    levenshtein_similarity,
     span_cost,
     span_length_bound,
 )
@@ -48,13 +47,6 @@ def test_edit_distance_against_oracle(a, b):
 @given(st.text(alphabet="ab", min_size=60, max_size=80), st.text(alphabet="ab", max_size=80))
 def test_edit_distance_beyond_one_machine_word(a, b):
     assert edit_distance(a, b) == lev_cells(a, b)
-
-
-def test_levenshtein_similarity_examples():
-    assert levenshtein_similarity("lea", "lea") == 1.0
-    assert levenshtein_similarity("fes", "ves") == pytest.approx(2 / 3, abs=1e-9)
-    assert levenshtein_similarity("", "x") == 0.0
-    assert levenshtein_similarity("", "") == 1.0
 
 
 def test_span_cost_examples():
@@ -121,9 +113,6 @@ def test_align_bruteforce_rejects_large_instances():
 def test_align_bruteforce_worst_case_similarity():
     result = align_bruteforce([" zz"], "qq")
     # the only complete alignment consumes all of " qq" at pure-similarity cost
-    assert result.total_weight == pytest.approx(
-        0.5 * levenshtein_similarity("zz", "qq"), abs=1e-9
-    )
     assert result.total_weight == 0.0
 
 

@@ -133,6 +133,52 @@ def test_encode_apply_pipeline(fig_files, tmp_path):
     assert corrected.read_text() == "Gathering leaves\n"
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        '[" a", 1]',
+        '{"units": [" a", " b"], "labels": [1, "x"]}',
+        '{"units": [" a", " b"], "labels": [1, 99]}',
+        '{"units": [" a", 7], "labels": [1, 1]}',
+    ],
+    ids=["list-record", "non-integer-label", "out-of-range-id", "non-string-unit"],
+)
+def test_apply_bad_label_record_exits_2(tmp_path, capsys, record):
+    corpus = tmp_path / "id.tsv"
+    corpus.write_text("a b\ta b\n", encoding="utf-8")
+    dict_path = tmp_path / "id.dict"
+    run("induce", corpus, "--mode", "char-at-subword", "--out", dict_path)
+    labels = tmp_path / "bad.labels"
+    labels.write_text('{"units": [" a"], "labels": [1]}\n' + record + "\n", encoding="utf-8")
+    code = run("apply", labels, "--dict", dict_path, "--out", tmp_path / "out")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{labels}:2:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["induce", "encode", "evaluate", "analyze"])
+def test_empty_corpus_exits_2_naming_the_files(fig_files, tmp_path, capsys, command):
+    corpus, _ = fig_files
+    dict_path = tmp_path / "fig.dict"
+    assert run("induce", corpus, "--mode", "char-at-word", "--out", dict_path) == 0
+    empty, also_empty = tmp_path / "empty.tsv", tmp_path / "also-empty.tsv"
+    empty.write_text("", encoding="utf-8")
+    also_empty.write_text("", encoding="utf-8")
+    hypothesis = tmp_path / "hyp.txt"
+    hypothesis.write_text("", encoding="utf-8")
+    flags = {
+        "induce": ["--mode", "char-at-word"],
+        "encode": ["--dict", dict_path],
+        "evaluate": ["--hypothesis", hypothesis],
+        "analyze": [],
+    }[command]
+    out = tmp_path / "out"
+    assert run(command, empty, also_empty, *flags, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert str(empty) in err and str(also_empty) in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_encode_mode_mismatch_exits_2(fig_files, tmp_path):
     corpus, vocab = fig_files
     dict_path = tmp_path / "fig.dict"

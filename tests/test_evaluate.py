@@ -1,21 +1,17 @@
-import random
 from collections import Counter
 
 import pytest
 
 import gecxform.evaluate as evaluate_module
 from corpusgen import corrupted_corpus, suffix_error_pairs, uncased_noise_config
-from gecxform.corpus import CorruptionConfig, SentencePair, corrupt_corpus
+from gecxform.corpus import SentencePair, corrupt_corpus
 from gecxform.editscript import KEEP, UNCORRECTABLE
 from gecxform.evaluate import (
     ANALYSIS_HEADER,
     EvalCounts,
-    MostFrequentClassifier,
-    OracleClassifier,
     analyze,
     extract_edits,
     f_beta,
-    iterate_correct,
     oracle_upper_bound,
     pair_gold_edits,
     rows_to_tsv,
@@ -30,12 +26,10 @@ from gecxform.transform import (
     DictEntry,
     corpus_unit_data,
     dumps_dictionary,
-    encode,
     induce,
 )
 
 U = CasingMode.UNCASED
-C = CasingMode.CASED
 CHAR_SUB = GranularityMode("char", "subword")
 CHUNKS = TokenizerMode.char_chunks(3)
 
@@ -260,77 +254,3 @@ def test_rows_to_tsv_format():
     assert len(first) == 8
     float(first[5]), float(first[6]), float(first[7])
 
-
-# --- iterative harness --------------------------------------------------------
-
-
-def test_iterate_oracle_reaches_gold_first_round():
-    pairs = suffix_error_pairs(20, seed=12)
-    dictionary = induce(pairs, CHAR_SUB, U, min_count=1, tokenizer=CHUNKS)
-    pair = pairs[0]
-    oracle = OracleClassifier(dictionary, pair.gold, CHUNKS, rng_seed=0)
-    labeled = encode(pair.source, pair.gold, dictionary, CHUNKS)
-    assert 0 not in labeled.labels  # fully encodable under min_count 1
-    out, used = iterate_correct(pair.source, oracle, dictionary, CHUNKS, max_iterations=4)
-    assert out == pair.gold
-    assert used <= 4
-
-
-def test_iterate_all_keep_classifier_is_fixed_point():
-    dictionary = reserved_only_dictionary(casing=C)
-    baseline = MostFrequentClassifier(dictionary)
-    out, used = iterate_correct("whatever text here", baseline, dictionary,
-                                TokenizerMode.word(), max_iterations=4)
-    assert out == "whatever text here"
-    assert used == 1
-
-
-class OneFixPerPass:
-    """Corrects the leftmost fixable unit per round, keeps the rest."""
-
-    def __init__(self, dictionary, gold, tokenizer):
-        self.oracle = OracleClassifier(dictionary, gold, tokenizer)
-
-    def predict(self, units, context):
-        labels = self.oracle.predict(units, context)
-        fixed = []
-        used_fix = False
-        for label in labels:
-            if label != 1 and not used_fix:
-                fixed.append(label)
-                used_fix = True
-            elif label != 1:
-                fixed.append(1)
-            else:
-                fixed.append(label)
-        return fixed
-
-
-def test_iterate_one_fix_per_pass_converges():
-    # cased mode so keep labels coincide with "unit already correct"
-    pairs = [SentencePair("koc kas mak", "koč kaš mák")]
-    dictionary = induce(pairs, CHAR_SUB, C, min_count=1, tokenizer=TokenizerMode.word())
-    pair = pairs[0]
-    stub = OneFixPerPass(dictionary, pair.gold, TokenizerMode.word())
-    out, used = iterate_correct(pair.source, stub, dictionary,
-                                TokenizerMode.word(), max_iterations=4)
-    assert out == pair.gold
-    assert used in (3, 4)
-
-
-def test_iterate_requires_positive_cap():
-    dictionary = reserved_only_dictionary()
-    with pytest.raises(ValueError):
-        iterate_correct("x", MostFrequentClassifier(dictionary), dictionary,
-                        TokenizerMode.word(), max_iterations=0)
-
-
-def test_classifier_length_contract_enforced():
-    dictionary = reserved_only_dictionary(casing=C)
-
-    class Broken:
-        def predict(self, units, context):
-            return [1]
-
-    with pytest.raises(ValueError):
-        iterate_correct("a b c", Broken(), dictionary, TokenizerMode.word(), 2)

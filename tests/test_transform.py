@@ -32,7 +32,7 @@ from gecxform.transform import (
 
 U = CasingMode.UNCASED
 FIG_VOCAB = TokenizerMode.vocab_greedy({" gathe", "rin", " lea", "fes"})
-FIG_PAIR = ("gatherin leafes", "Gathering leaves")
+FIG_PAIR = SentencePair("gatherin leafes", "Gathering leaves")
 CHAR_SUB = GranularityMode("char", "subword")
 CHAR_WORD = GranularityMode("char", "word")
 STRING_WORD = GranularityMode("string", "word")
@@ -89,7 +89,7 @@ def test_induce_counting_oracle():
 
 
 def test_induce_threshold_monotone():
-    pairs = [FIG_PAIR, FIG_PAIR, ("fes rin", "ves rin")]
+    pairs = [FIG_PAIR, FIG_PAIR, SentencePair("fes rin", "ves rin")]
     by_count = {
         k: induce(pairs, CHAR_SUB, U, min_count=k, tokenizer=FIG_VOCAB) for k in (1, 2, 3)
     }
@@ -100,9 +100,9 @@ def test_induce_threshold_monotone():
 
 
 def test_induce_synthetic_cap():
-    synthetic = [FIG_PAIR, ("fes", "ves"), ("rin", "ring")]
+    synthetic = [FIG_PAIR, SentencePair("fes", "ves"), SentencePair("rin", "ring")]
     dictionary = induce(
-        [("x", "x")],
+        [SentencePair("x", "x")],
         CHAR_SUB,
         U,
         min_count=1,
@@ -118,7 +118,7 @@ def test_induce_synthetic_cap():
 
 
 def test_word_tokenizer_makes_unit_kinds_agree():
-    pairs = [("kocka leze", "Kočka leze"), ("pes stek", "pes štěká")]
+    pairs = [SentencePair("kocka leze", "Kočka leze"), SentencePair("pes stek", "pes štěká")]
     sub = induce(pairs, CHAR_SUB, U, min_count=1, tokenizer=TokenizerMode.word())
     word = induce(pairs, CHAR_WORD, U, min_count=1, tokenizer=TokenizerMode.word())
     assert {e.transformation for e in sub.entries} == {
@@ -128,7 +128,7 @@ def test_word_tokenizer_makes_unit_kinds_agree():
 
 def test_encode_worked_example():
     dictionary = fig_dictionary()
-    labeled = encode(*FIG_PAIR, dictionary, FIG_VOCAB, rng_seed=5)
+    labeled = encode(FIG_PAIR.source, FIG_PAIR.gold, dictionary, FIG_VOCAB, rng_seed=5)
     assert labeled.units == (" gathe", "rin", " lea", "fes")
     got = [dumps_line(dictionary.entries[l]) for l in labeled.labels]
     assert got == ["CHAR upc@s2", "CHAR ins@e1=g", "KEEP", "CHAR rep@s1=v"]
@@ -177,14 +177,14 @@ def test_encode_empty_span_in_string_grain_skips_the_scan():
 
 def test_encode_deterministic_given_seed():
     dictionary = fig_dictionary()
-    a = encode(*FIG_PAIR, dictionary, FIG_VOCAB, rng_seed=99)
-    b = encode(*FIG_PAIR, dictionary, FIG_VOCAB, rng_seed=99)
+    a = encode(FIG_PAIR.source, FIG_PAIR.gold, dictionary, FIG_VOCAB, rng_seed=99)
+    b = encode(FIG_PAIR.source, FIG_PAIR.gold, dictionary, FIG_VOCAB, rng_seed=99)
     assert a == b
 
 
 def test_apply_labels_worked_example():
     dictionary = fig_dictionary()
-    labeled = encode(*FIG_PAIR, dictionary, FIG_VOCAB)
+    labeled = encode(FIG_PAIR.source, FIG_PAIR.gold, dictionary, FIG_VOCAB)
     assert apply_labels(labeled, dictionary) == "Gathering leaves"
 
 
@@ -214,22 +214,22 @@ def test_apply_labels_unknown_id_raises():
 
 def test_encode_apply_round_trip_all_modes():
     pairs = [
-        ("kocka leze pres plot", "Kočka leze přes plot"),
-        ("gatherin leafes", "Gathering leaves"),
-        ("neco jineho tady", "něco jiného tady"),
+        SentencePair("kocka leze pres plot", "Kočka leze přes plot"),
+        SentencePair("gatherin leafes", "Gathering leaves"),
+        SentencePair("neco jineho tady", "něco jiného tady"),
     ]
     for mode in ALL_MODES:
         for casing in CasingMode:
             dictionary = induce(
                 pairs, mode, casing, min_count=1, tokenizer=TokenizerMode.char_chunks(3)
             )
-            for source, gold in pairs:
+            for pair in pairs:
                 labeled = encode(
-                    source, gold, dictionary, TokenizerMode.char_chunks(3), rng_seed=7
+                    pair.source, pair.gold, dictionary, TokenizerMode.char_chunks(3), rng_seed=7
                 )
                 if UNCORRECTABLE_ID in labeled.labels:
                     continue
-                assert apply_labels(labeled, dictionary) == gold
+                assert apply_labels(labeled, dictionary) == pair.gold
 
 
 def test_dictionary_file_round_trip():
@@ -260,15 +260,6 @@ def test_dictionary_requires_reserved_entries():
         TransformationDictionary(
             CHAR_SUB, U, 1, (DictEntry(0, 0, KEEP), DictEntry(1, 0, UNCORRECTABLE))
         )
-
-
-def test_truncated_keeps_most_frequent():
-    pairs = [FIG_PAIR] * 2 + [("fes", "ves")]
-    dictionary = induce(pairs, CHAR_SUB, U, min_count=1, tokenizer=FIG_VOCAB)
-    cut = dictionary.truncated(1)
-    assert cut.size == 3
-    assert cut.entries[2].transformation == dictionary.entries[2].transformation
-    assert cut.entries[2].count == max(e.count for e in dictionary.entries[2:])
 
 
 def test_labeled_sentence_validation():
