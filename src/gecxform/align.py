@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .textnorm import alignment_normalize, alignment_normalized_view
-from .tokenizer import SubwordSequence, WORD_LEAD
+from .tokenizer import WORD_LEAD
 
 # A single subword may absorb at most 8 + 3 * len(subword) gold characters.
 SPAN_BOUND_BASE = 8
@@ -127,15 +127,8 @@ class Alignment:
         return [self.gold[a:b] for a, b in self.spans]
 
 
-def _subword_texts(subwords) -> list[str]:
-    if isinstance(subwords, SubwordSequence):
-        return subwords.texts()
-    return list(subwords)
-
-
-def _prepare(subwords, gold: str):
-    texts = _subword_texts(subwords)
-    if not texts:
+def _prepare(subwords: Sequence[str], gold: str):
+    if not subwords:
         raise ValueError("alignment requires at least one subword")
     if not gold:
         raise ValueError("alignment requires non-empty gold text")
@@ -143,11 +136,11 @@ def _prepare(subwords, gold: str):
     view = alignment_normalized_view(lead_gold)
     if not view.normalized.strip():
         raise AlignmentError("gold text contains only whitespace")
-    normed = [alignment_normalize(t) for t in texts]
+    normed = [alignment_normalize(t) for t in subwords]
     return lead_gold, view, normed
 
 
-def align(subwords: SubwordSequence | Sequence[str], gold: str) -> Alignment:
+def align(subwords: Sequence[str], gold: str) -> Alignment:
     """Maximum-weight alignment of ``subwords`` to spans of ``gold``.
 
     Dynamic program over (subword index, gold offset): a subword is either
@@ -272,15 +265,14 @@ def _solve_dp(normed: list[str], g: str, bounded: bool):
     return w_next[0], spans
 
 
-def align_bruteforce(subwords: SubwordSequence | Sequence[str], gold: str) -> Alignment:
+def align_bruteforce(subwords: Sequence[str], gold: str) -> Alignment:
     """Reference alignment by exhaustive enumeration of contiguous span partitions.
 
     Only intended for tests; raises ValueError beyond
     ``BRUTEFORCE_MAX_SUBWORDS`` subwords or ``BRUTEFORCE_MAX_GOLD`` gold
     characters.
     """
-    texts = _subword_texts(subwords)
-    if len(texts) > BRUTEFORCE_MAX_SUBWORDS or len(gold) > BRUTEFORCE_MAX_GOLD:
+    if len(subwords) > BRUTEFORCE_MAX_SUBWORDS or len(gold) > BRUTEFORCE_MAX_GOLD:
         raise ValueError("instance too large for exhaustive alignment")
     lead_gold, view, normed = _prepare(subwords, gold)
     g = view.normalized

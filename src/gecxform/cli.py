@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import logging
 import sys
 import traceback
 from pathlib import Path
@@ -25,8 +26,9 @@ from .corpus import (
 from .errors import FormatError
 from .evaluate import analyze, pair_gold_edits, rows_to_tsv, score
 from .textnorm import CasingMode
-from .tokenizer import TokenizerMode, load_vocab
+from .tokenizer import TokenizerMode, group_words, load_vocab, tokenize
 from .transform import (
+    UNCORRECTABLE_ID,
     GranularityMode,
     LabeledSentence,
     apply_labels,
@@ -35,6 +37,8 @@ from .transform import (
     induce,
     load_dictionary,
 )
+
+log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -130,6 +134,17 @@ def cmd_induce(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _unaligned_record(source: str, dictionary, tokenizer: TokenizerMode) -> LabeledSentence:
+    """The source's units, all uncorrectable, so that decoding gives the source back."""
+    try:
+        units = tokenize(source, tokenizer, dictionary.casing)
+    except ValueError:
+        units = []  # a source without words has no units
+    if dictionary.mode.unit == "word":
+        units = [word for word, _ in group_words(units)]
+    return LabeledSentence(tuple(units), (UNCORRECTABLE_ID,) * len(units))
+
+
 def cmd_encode(args: argparse.Namespace) -> int:
     dictionary = load_dictionary(args.dictionary)
     if args.mode and GranularityMode.parse(args.mode) != dictionary.mode:
@@ -138,23 +153,32 @@ def cmd_encode(args: argparse.Namespace) -> int:
         )
     tokenizer = _tokenizer_from_args(args, dictionary.casing)
     pairs = _load_pairs(args.corpus, args.annotator)
-    out = Path(args.out)
-    uncorrectable = 0
-    with out.open("w", encoding="utf-8") as handle:
-        for idx, pair in enumerate(pairs):
+    lines = []
+    uncorrectable = skipped = 0
+    for idx, pair in enumerate(pairs):
+        try:
             labeled = encode(
                 pair.source, pair.gold, dictionary, tokenizer, rng_seed=args.seed ^ idx
             )
-            uncorrectable += sum(1 for l in labeled.labels if l == 0)
-            record = {
-                "source": pair.source,
-                "units": list(labeled.units),
-                "labels": list(labeled.labels),
-            }
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+        except ValueError as exc:
+            log.warning("skipping pair: %s (source=%r)", exc, pair.source)
+            labeled = _unaligned_record(pair.source, dictionary, tokenizer)
+            skipped += 1
+        uncorrectable += labeled.labels.count(UNCORRECTABLE_ID)
+        record = {
+            "source": pair.source,
+            "units": list(labeled.units),
+            "labels": list(labeled.labels),
+        }
+        lines.append(json.dumps(record, ensure_ascii=False) + "\n")
+    out = Path(args.out)
+    out.write_text("".join(lines), encoding="utf-8")
     inputs = [Path(p) for p in args.corpus] + [Path(args.dictionary)]
     _write_manifest(out, "encode", args, inputs)
-    print(f"encoded {len(pairs)} sentences ({uncorrectable} uncorrectable labels) -> {out}")
+    print(
+        f"encoded {len(pairs)} sentences ({uncorrectable} uncorrectable labels, "
+        f"{skipped} skipped pairs) -> {out}"
+    )
     return EXIT_OK
 
 
@@ -175,9 +199,8 @@ def _parse_labeled(line: str, size: int) -> LabeledSentence:
 
 def cmd_apply(args: argparse.Namespace) -> int:
     dictionary = load_dictionary(args.dictionary)
-    out = Path(args.out)
-    count = 0
-    with Path(args.labels).open(encoding="utf-8") as src, out.open("w", encoding="utf-8") as dst:
+    decoded = []
+    with Path(args.labels).open(encoding="utf-8") as src:
         for lineno, line in enumerate(src, 1):
             line = line.strip()
             if not line:
@@ -186,10 +209,11 @@ def cmd_apply(args: argparse.Namespace) -> int:
                 labeled = _parse_labeled(line, dictionary.size)
             except ValueError as exc:
                 raise FormatError(f"{args.labels}:{lineno}: {exc}") from None
-            dst.write(apply_labels(labeled, dictionary) + "\n")
-            count += 1
+            decoded.append(apply_labels(labeled, dictionary) + "\n")
+    out = Path(args.out)
+    out.write_text("".join(decoded), encoding="utf-8")
     _write_manifest(out, "apply", args, [Path(args.labels), Path(args.dictionary)])
-    print(f"applied labels to {count} sentences -> {out}")
+    print(f"applied labels to {len(decoded)} sentences -> {out}")
     return EXIT_OK
 
 
@@ -228,7 +252,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         tokenizer,
         min_counts=tuple(args.min_counts),
         iteration_counts=tuple(args.iterations),
-        seed=args.seed,
         annotator=args.annotator,
     )
     out = Path(args.out)
@@ -310,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--iterations", type=_int_at_least(1), nargs="+", default=[1, 4])
     p.add_argument("--annotator", type=_int_at_least(0), default=0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     _add_tokenizer_flags(p)
     p.set_defaults(func=cmd_analyze)

@@ -18,12 +18,13 @@ import random
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-from .align import AlignmentError
 from .corpus import SentencePair
-from .editscript import INSERT, REPLACE, apply_transformation, minimal_edit_script
+from .editscript import INSERT, REPLACE, minimal_edit_script
 from .textnorm import CasingMode
 from .tokenizer import TokenizerMode, detokenize
-from .tokenizer import tokenize  # not called here: perfbench/tracing.py wraps this name
+# not called here: perfbench/tracing.py wraps these names
+from .editscript import apply_transformation
+from .tokenizer import tokenize
 from .transform import (
     ALL_MODES,
     GranularityMode,
@@ -151,14 +152,14 @@ def _upper_bound_outputs(
     pairs: list[SentencePair],
     dictionary: TransformationDictionary,
     tokenizer: TokenizerMode,
-    seed: int,
     iterations: int,
     alignments: AlignmentMemo,
 ) -> list[str]:
-    # the seeded scan may land on any matching entry, but every match rewrites
-    # the unit into the same span, so one label per (unit, span) is safe
-    labels: dict[tuple[str, str], int] = {}
-    rng = random.Random(seed)
+    # A label other than uncorrectable rewrites its unit into its span (a lookup
+    # hit was built to, a fallback hit tested to), so the rng's draws, which only
+    # choose among matching entries, cannot change an output.
+    outputs_of: dict[tuple[str, str], str] = {}
+    rng = random.Random(0)
     unit_kind = dictionary.mode.unit
     outputs = []
     for pair in pairs:
@@ -172,19 +173,17 @@ def _upper_bound_outputs(
                     alignments[key] = unit_pairs(
                         current, pair.gold, dictionary.mode, dictionary.casing, tokenizer
                     )
-                except (ValueError, AlignmentError):
+                except ValueError:
                     alignments[key] = None
             cached = alignments[key]
             if cached is None:
                 break  # pair cannot be aligned; leave it as it stands
             corrected = []
             for unit, span in zip(*cached):
-                if (unit, span) not in labels:
-                    labels[unit, span] = _encode_unit(unit, span, dictionary, rng)
-                result = apply_transformation(
-                    dictionary.transformation_for(labels[unit, span]), unit
-                )
-                corrected.append(unit if result is None else result)
+                if (unit, span) not in outputs_of:
+                    label = _encode_unit(unit, span, dictionary, rng)
+                    outputs_of[unit, span] = span if label else unit
+                corrected.append(outputs_of[unit, span])
             out = detokenize(corrected)
             if out == current:
                 break
@@ -197,7 +196,6 @@ def oracle_upper_bound(
     pairs: list[SentencePair],
     dictionary: TransformationDictionary,
     tokenizer: TokenizerMode = TokenizerMode.word(),
-    seed: int = 0,
     iterations: int = 1,
     annotator: int = 0,
     alignments: AlignmentMemo | None = None,
@@ -214,7 +212,7 @@ def oracle_upper_bound(
     """
     if alignments is None:
         alignments = {}
-    outputs = _upper_bound_outputs(pairs, dictionary, tokenizer, seed, iterations, alignments)
+    outputs = _upper_bound_outputs(pairs, dictionary, tokenizer, iterations, alignments)
     counts = score(
         (pair.source, out, pair_gold_edits(pair, annotator))
         for pair, out in zip(pairs, outputs)
@@ -238,7 +236,6 @@ def analyze(
     tokenizer: TokenizerMode = TokenizerMode.word(),
     min_counts: tuple[int, ...] = (1, 2, 3),
     iteration_counts: tuple[int, ...] = (1, 4),
-    seed: int = 0,
     annotator: int = 0,
 ) -> list[OracleAnalysisRow]:
     """Upper-bound sweep over every granularity, threshold and iteration setting.
@@ -269,7 +266,7 @@ def analyze(
             dictionary = dictionary_from_counts(counters[mode], mode, casing, min_count)
             for iterations in iteration_counts:
                 _, row = oracle_upper_bound(
-                    pairs, dictionary, tokenizer, seed, iterations, annotator, alignments
+                    pairs, dictionary, tokenizer, iterations, annotator, alignments
                 )
                 rows.append(row)
     return rows

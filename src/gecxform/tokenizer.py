@@ -1,7 +1,9 @@
 """Subword tokenization with the leading-space word convention.
 
-The first subword of every word carries one prepended space; continuation
-subwords carry no marker. Concatenating the subword texts of a sentence and
+A sentence tokenizes to a list of subword texts. The first subword of every
+word carries one prepended space; continuation subwords carry no marker, and
+words hold no whitespace, so a word starts exactly at each subword that
+begins with the space. Concatenating the subword texts of a sentence and
 trimming the single leading space therefore reproduces the (mode-normalized)
 sentence.
 """
@@ -17,22 +19,6 @@ from .textnorm import CasingMode, fold
 WORD_LEAD = " "
 
 _KINDS = ("word", "vocab", "chars")
-
-
-@dataclass(frozen=True)
-class Subword:
-    text: str
-    word_index: int
-    is_word_initial: bool
-
-
-@dataclass(frozen=True)
-class SubwordSequence:
-    subwords: tuple[Subword, ...]
-    source_sentence: str
-
-    def texts(self) -> list[str]:
-        return [sw.text for sw in self.subwords]
 
 
 @dataclass(frozen=True)
@@ -82,8 +68,8 @@ def _check_piece(piece: str) -> None:
         raise ValueError(f"invalid vocabulary piece: {piece!r}")
 
 
-def tokenize(sentence: str, mode: TokenizerMode, casing: CasingMode) -> SubwordSequence:
-    """Split ``sentence`` into subwords; word boundaries follow whitespace.
+def tokenize(sentence: str, mode: TokenizerMode, casing: CasingMode) -> list[str]:
+    """Split ``sentence`` into subword texts; word boundaries follow whitespace.
 
     In uncased mode the subword texts are lowercased, diacritics-stripped
     views of the input.
@@ -92,19 +78,18 @@ def tokenize(sentence: str, mode: TokenizerMode, casing: CasingMode) -> SubwordS
     if not words:
         raise ValueError("cannot tokenize an empty sentence")
     max_piece = max(len(p) for p in mode.vocab) if mode.kind == "vocab" else 0
-    subwords: list[Subword] = []
-    for wi, word in enumerate(words):
+    pieces: list[str] = []
+    for word in words:
         spaced = WORD_LEAD + word
         if mode.kind == "word":
-            pieces = [spaced]
+            pieces.append(spaced)
         elif mode.kind == "chars":
             k = mode.chunk_size
-            pieces = [WORD_LEAD + word[:k]] + [word[i : i + k] for i in range(k, len(word), k)]
+            pieces.append(WORD_LEAD + word[:k])
+            pieces.extend(word[i : i + k] for i in range(k, len(word), k))
         else:
-            pieces = _greedy_pieces(spaced, mode.vocab, max_piece)
-        for pi, piece in enumerate(pieces):
-            subwords.append(Subword(piece, wi, pi == 0))
-    return SubwordSequence(tuple(subwords), sentence)
+            pieces.extend(_greedy_pieces(spaced, mode.vocab, max_piece))
+    return pieces
 
 
 def _greedy_pieces(spaced: str, vocab: frozenset[str], max_piece: int) -> list[str]:
@@ -129,22 +114,16 @@ def _greedy_pieces(spaced: str, vocab: frozenset[str], max_piece: int) -> list[s
     return pieces
 
 
-def group_words(seq: SubwordSequence) -> list[tuple[str, tuple[int, int]]]:
+def group_words(subwords: list[str]) -> list[tuple[str, tuple[int, int]]]:
     """One ``(word_text, (start, end))`` entry per word, over subword indices.
 
-    The word text is the concatenation of its subword texts and keeps the
-    leading space.
+    A word starts at each subword that begins with ``WORD_LEAD``. The word
+    text is the concatenation of its subword texts and keeps the leading
+    space.
     """
-    ranges: list[list[int]] = []
-    for i, sw in enumerate(seq.subwords):
-        if sw.is_word_initial:
-            ranges.append([i, i + 1])
-        else:
-            ranges[-1][1] = i + 1
-    return [
-        ("".join(sw.text for sw in seq.subwords[a:b]), (a, b))
-        for a, b in ranges
-    ]
+    starts = [i for i, piece in enumerate(subwords) if piece.startswith(WORD_LEAD)]
+    ends = starts[1:] + [len(subwords)]
+    return [("".join(subwords[a:b]), (a, b)) for a, b in zip(starts, ends)]
 
 
 def detokenize(units: list[str]) -> str:

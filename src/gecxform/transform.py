@@ -19,7 +19,7 @@ from functools import partial
 from pathlib import Path
 
 from ._parallel import map_ordered
-from .align import AlignmentError, align
+from .align import align
 from .editscript import (
     KEEP,
     UNCORRECTABLE,
@@ -131,11 +131,11 @@ def _units_by_kind(
     source: str, gold: str, casing: CasingMode, tokenizer: TokenizerMode
 ) -> dict[str, tuple[list[str], list[str]]]:
     """Tokenize and align once; the (units, spans) lists of each unit kind."""
-    seq = tokenize(source, tokenizer, casing)
-    spans = align(seq, gold).span_texts
-    words = group_words(seq)
+    subwords = tokenize(source, tokenizer, casing)
+    spans = align(subwords, gold).span_texts
+    words = group_words(subwords)
     word_spans = ["".join(spans[a:b]) for _, (a, b) in words]
-    return {"subword": (seq.texts(), spans), "word": ([w for w, _ in words], word_spans)}
+    return {"subword": (subwords, spans), "word": ([w for w, _ in words], word_spans)}
 
 
 def unit_pairs(
@@ -171,7 +171,7 @@ def _pair_unit_data(pair, casing, tokenizer):
     """Both unit kinds of one pair, or None with a diagnostic on failure."""
     try:
         return _units_by_kind(pair.source, pair.gold, casing, tokenizer), None
-    except (ValueError, AlignmentError) as exc:
+    except ValueError as exc:
         return None, f"{exc} (source={pair.source!r})"
 
 
@@ -368,4 +368,7 @@ def loads_dictionary(text: str) -> TransformationDictionary:
 
 
 def load_dictionary(path: str | Path) -> TransformationDictionary:
-    return loads_dictionary(Path(path).read_text(encoding="utf-8"))
+    try:
+        return loads_dictionary(Path(path).read_text(encoding="utf-8"))
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None

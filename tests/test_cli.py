@@ -150,10 +150,49 @@ def test_apply_bad_label_record_exits_2(tmp_path, capsys, record):
     run("induce", corpus, "--mode", "char-at-subword", "--out", dict_path)
     labels = tmp_path / "bad.labels"
     labels.write_text('{"units": [" a"], "labels": [1]}\n' + record + "\n", encoding="utf-8")
-    code = run("apply", labels, "--dict", dict_path, "--out", tmp_path / "out")
+    out = tmp_path / "out.txt"
+    code = run("apply", labels, "--dict", dict_path, "--out", out)
     assert code == 2
     err = capsys.readouterr().err
     assert f"{labels}:2:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_malformed_dictionary_exits_2_naming_the_file(tmp_path, capsys):
+    corpus = tmp_path / "id.tsv"
+    corpus.write_text("a b\ta b\n", encoding="utf-8")
+    dict_path = tmp_path / "bad.dict"
+    run("induce", corpus, "--mode", "char-at-subword", "--out", dict_path)
+    with dict_path.open("a", encoding="utf-8") as handle:
+        handle.write("2\t1\tCHAR zz@s1\n")
+    out = tmp_path / "out.labels"
+    assert run("encode", corpus, "--dict", dict_path, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"{dict_path}: line 4:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_encode_labels_unalignable_pairs_uncorrectable(tmp_path, capsys, caplog):
+    # an empty source and a whitespace-only gold: induce and analyze skip
+    # these pairs; encode keeps each as its source so the files stay aligned
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("a b\ta b\n \tfoo\nfoo\t \n", encoding="utf-8")
+    dict_path = tmp_path / "c.dict"
+    assert run("induce", corpus, "--mode", "char-at-word", "--out", dict_path) == 0
+    labels = tmp_path / "c.labels"
+    caplog.clear()
+    capsys.readouterr()
+    assert run("encode", corpus, "--dict", dict_path, "--out", labels) == 0
+    assert "2 skipped pairs" in capsys.readouterr().out
+    assert len([r for r in caplog.records if "skipping pair" in r.getMessage()]) == 2
+    records = [json.loads(line) for line in labels.read_text().splitlines()]
+    assert [(r["units"], r["labels"]) for r in records] == [
+        ([" a", " b"], [1, 1]), ([], []), ([" foo"], [0])
+    ]
+    decoded = tmp_path / "c.out"
+    assert run("apply", labels, "--dict", dict_path, "--out", decoded) == 0
+    assert decoded.read_text() == "a b\n\nfoo\n"
+    assert run("evaluate", corpus, "--hypothesis", decoded) == 0
 
 
 @pytest.mark.parametrize("command", ["induce", "encode", "evaluate", "analyze"])
@@ -256,7 +295,7 @@ def test_corrupt_deterministic_and_analyze_grid(tmp_path):
     analysis = tmp_path / "rows.tsv"
     code = run(
         "analyze", first, "--casing", "uncased", "--tokenizer", "chars",
-        "--chunk-size", "3", "--seed", "1", "--out", analysis,
+        "--chunk-size", "3", "--out", analysis,
     )
     assert code == 0
     lines = analysis.read_text().strip().split("\n")

@@ -135,7 +135,7 @@ def test_upper_bound_self_induced_is_perfect():
         uncased_noise_config(3),
     )
     dictionary = induce(pairs, CHAR_SUB, U, min_count=1, tokenizer=CHUNKS)
-    counts, row = oracle_upper_bound(pairs, dictionary, CHUNKS, seed=1)
+    counts, row = oracle_upper_bound(pairs, dictionary, CHUNKS)
     assert counts.f_half == 1.0
     assert row.dictionary_size == dictionary.size
     assert row.min_count == 1
@@ -152,8 +152,8 @@ def test_upper_bound_iterations_preserve_perfect_scores():
     # gold in round 1; extra allowed rounds must not disturb that
     pairs = suffix_error_pairs(60, seed=9)
     dictionary = induce(pairs, CHAR_SUB, U, min_count=1, tokenizer=CHUNKS)
-    one, _ = oracle_upper_bound(pairs, dictionary, CHUNKS, seed=5, iterations=1)
-    four, _ = oracle_upper_bound(pairs, dictionary, CHUNKS, seed=5, iterations=4)
+    one, _ = oracle_upper_bound(pairs, dictionary, CHUNKS, iterations=1)
+    four, _ = oracle_upper_bound(pairs, dictionary, CHUNKS, iterations=4)
     assert one.f_half == 1.0
     assert four.f_half == 1.0
 
@@ -163,7 +163,7 @@ def test_upper_bound_iterations_preserve_perfect_scores():
 
 def test_analyze_row_grid_and_monotonicity():
     pairs = suffix_error_pairs(50, seed=4)
-    rows = analyze(pairs, U, CHUNKS, seed=2)
+    rows = analyze(pairs, U, CHUNKS)
     assert len(rows) == 24
     combos = {(r.mode.label, r.min_count, r.iterations) for r in rows}
     assert len(combos) == 24
@@ -186,7 +186,7 @@ def test_analyze_aligns_each_text_once_and_matches_independent_runs(monkeypatch,
         for min_count in min_counts:
             dictionary = induce(pairs, mode, U, min_count, tokenizer=tokenizer)
             for iterations in iteration_counts:
-                _, row = oracle_upper_bound(pairs, dictionary, tokenizer, 1, iterations)
+                _, row = oracle_upper_bound(pairs, dictionary, tokenizer, iterations)
                 reference.append(row)
 
     calls = Counter()
@@ -197,7 +197,7 @@ def test_analyze_aligns_each_text_once_and_matches_independent_runs(monkeypatch,
         return original(text, gold, mode, casing, tok)
 
     monkeypatch.setattr(evaluate_module, "unit_pairs", counting)
-    rows = analyze(pairs, U, tokenizer, min_counts, iteration_counts, seed=1)
+    rows = analyze(pairs, U, tokenizer, min_counts, iteration_counts)
 
     assert rows == reference
     assert calls, "no pair reached a second round; the corpus exercises nothing"

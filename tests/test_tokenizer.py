@@ -1,9 +1,13 @@
+from itertools import accumulate
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gecxform.errors import FormatError
-from gecxform.textnorm import CasingMode
+from gecxform.textnorm import CasingMode, fold
 from gecxform.tokenizer import (
-    SubwordSequence,
+    WORD_LEAD,
     TokenizerMode,
     detokenize,
     group_words,
@@ -15,39 +19,37 @@ FIG_VOCAB = TokenizerMode.vocab_greedy({" gathe", "rin", " lea", "fes"})
 
 
 def test_vocab_tokenize_worked_example():
-    seq = tokenize("gatherin leafes", FIG_VOCAB, CasingMode.UNCASED)
-    assert seq.texts() == [" gathe", "rin", " lea", "fes"]
-    assert [sw.word_index for sw in seq.subwords] == [0, 0, 1, 1]
-    assert [sw.is_word_initial for sw in seq.subwords] == [True, False, True, False]
+    pieces = tokenize("gatherin leafes", FIG_VOCAB, CasingMode.UNCASED)
+    assert pieces == [" gathe", "rin", " lea", "fes"]
 
 
 def test_word_mode():
-    seq = tokenize("hello", TokenizerMode.word(), CasingMode.CASED)
-    assert seq.texts() == [" hello"]
+    pieces = tokenize("hello", TokenizerMode.word(), CasingMode.CASED)
+    assert pieces == [" hello"]
 
 
 def test_char_chunks():
-    seq = tokenize("ab cd", TokenizerMode.char_chunks(1), CasingMode.CASED)
-    assert seq.texts() == [" a", "b", " c", "d"]
-    seq = tokenize("abcdefg", TokenizerMode.char_chunks(3), CasingMode.CASED)
-    assert seq.texts() == [" abc", "def", "g"]
+    pieces = tokenize("ab cd", TokenizerMode.char_chunks(1), CasingMode.CASED)
+    assert pieces == [" a", "b", " c", "d"]
+    pieces = tokenize("abcdefg", TokenizerMode.char_chunks(3), CasingMode.CASED)
+    assert pieces == [" abc", "def", "g"]
 
 
 def test_uncased_normalizes_before_matching():
-    seq = tokenize("Gatherin LEAFES", FIG_VOCAB, CasingMode.UNCASED)
-    assert seq.texts() == [" gathe", "rin", " lea", "fes"]
+    pieces = tokenize("Gatherin LEAFES", FIG_VOCAB, CasingMode.UNCASED)
+    assert pieces == [" gathe", "rin", " lea", "fes"]
 
 
 def test_unknown_characters_fall_back_to_single_pieces():
     # " lea" is word-initial only, so mid-word "lea" decomposes to characters
-    seq = tokenize("gatherin qqlea", FIG_VOCAB, CasingMode.UNCASED)
-    assert seq.texts() == [" gathe", "rin", " q", "q", "l", "e", "a"]
+    pieces = tokenize("gatherin qqlea", FIG_VOCAB, CasingMode.UNCASED)
+    assert pieces == [" gathe", "rin", " q", "q", "l", "e", "a"]
 
 
 def test_longest_match_wins():
     mode = TokenizerMode.vocab_greedy({" a", " ab", " abc", "d"})
-    seq = tokenize("abcd", mode, CasingMode.CASED)
-    assert seq.texts() == [" abc", "d"]
+    pieces = tokenize("abcd", mode, CasingMode.CASED)
+    assert pieces == [" abc", "d"]
 
 
 def test_empty_sentence_rejected():
@@ -56,33 +58,41 @@ def test_empty_sentence_rejected():
 
 
 def test_group_words_examples():
-    seq = tokenize("gatherin leafes", FIG_VOCAB, CasingMode.UNCASED)
-    assert group_words(seq) == [(" gatherin", (0, 2)), (" leafes", (2, 4))]
-    seq = tokenize("a", TokenizerMode.word(), CasingMode.CASED)
-    assert group_words(seq) == [(" a", (0, 1))]
-    seq = tokenize("xyz", TokenizerMode.char_chunks(1), CasingMode.CASED)
-    assert group_words(seq) == [(" xyz", (0, 3))]
+    pieces = tokenize("gatherin leafes", FIG_VOCAB, CasingMode.UNCASED)
+    assert group_words(pieces) == [(" gatherin", (0, 2)), (" leafes", (2, 4))]
+    pieces = tokenize("a", TokenizerMode.word(), CasingMode.CASED)
+    assert group_words(pieces) == [(" a", (0, 1))]
+    pieces = tokenize("xyz", TokenizerMode.char_chunks(1), CasingMode.CASED)
+    assert group_words(pieces) == [(" xyz", (0, 3))]
 
 
 def test_round_trip_retokenization():
     for mode in (FIG_VOCAB, TokenizerMode.word(), TokenizerMode.char_chunks(2)):
         for casing in CasingMode:
-            seq = tokenize("Gatherin  leafes", mode, casing)
-            rebuilt = detokenize(seq.texts())
-            seq2 = tokenize(rebuilt, mode, casing)
-            assert seq2.subwords == seq.subwords
+            pieces = tokenize("Gatherin  leafes", mode, casing)
+            assert tokenize(detokenize(pieces), mode, casing) == pieces
 
 
-def test_word_index_increments_at_word_initial():
-    seq = tokenize("gatherin leafes xx", FIG_VOCAB, CasingMode.UNCASED)
-    last = -1
-    for sw in seq.subwords:
-        if sw.is_word_initial:
-            assert sw.word_index == last + 1
-            last = sw.word_index
-        else:
-            assert sw.word_index == last
-        assert sw.is_word_initial == sw.text.startswith(" ")
+TOKENIZERS = [
+    TokenizerMode.word(),
+    TokenizerMode.char_chunks(1),
+    TokenizerMode.char_chunks(3),
+    TokenizerMode.vocab_greedy({" a", " ab", "ab", "b", " Á", "č.", " ,", "."}),
+]
+SENTENCE = st.text(alphabet="abAÁč., \t", min_size=1, max_size=24).filter(lambda s: s.split())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(TOKENIZERS), st.sampled_from(list(CasingMode)), SENTENCE)
+def test_word_starts_are_the_lead_pieces(mode, casing, sentence):
+    words = fold(sentence, casing).split()
+    pieces = tokenize(sentence, mode, casing)
+    text = "".join(pieces)
+    assert text == "".join(WORD_LEAD + w for w in words)
+    offsets = accumulate((len(p) for p in pieces[:-1]), initial=0)
+    lead_offsets = [o for o, p in zip(offsets, pieces) if p.startswith(WORD_LEAD)]
+    assert lead_offsets == [i for i, ch in enumerate(text) if ch == WORD_LEAD]
+    assert [word for word, _ in group_words(pieces)] == [WORD_LEAD + w for w in words]
 
 
 def test_load_vocab(tmp_path):

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from corpusgen import corrupted_corpus, uncased_noise_config
 from gecxform.corpus import SentencePair
 from gecxform.editscript import (
     KEEP,
@@ -10,6 +13,7 @@ from gecxform.editscript import (
     CharTransformation,
     StringTransformation,
     UncorrectableMarker,
+    apply_transformation,
 )
 from gecxform.errors import FormatError
 from gecxform.textnorm import CasingMode
@@ -28,6 +32,7 @@ from gecxform.transform import (
     encode,
     induce,
     loads_dictionary,
+    unit_pairs,
 )
 
 U = CasingMode.UNCASED
@@ -230,6 +235,27 @@ def test_encode_apply_round_trip_all_modes():
                 if UNCORRECTABLE_ID in labeled.labels:
                     continue
                 assert apply_labels(labeled, dictionary) == pair.gold
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(ALL_MODES),
+    st.sampled_from(list(CasingMode)),
+    st.sampled_from([TokenizerMode.word(), TokenizerMode.char_chunks(2)]),
+    st.integers(0, 10_000),
+)
+def test_labelled_units_decode_to_their_gold_spans(mode, casing, tokenizer, seed):
+    # held-out pairs miss the lookup, so fallback hits are tested as well
+    train = corrupted_corpus(5, seed, uncased_noise_config(seed))
+    held_out = corrupted_corpus(3, seed + 1, uncased_noise_config(seed + 1))
+    dictionary = induce(train, mode, casing, min_count=1, tokenizer=tokenizer)
+    for pair in train + held_out:
+        units, spans = unit_pairs(pair.source, pair.gold, mode, casing, tokenizer)
+        labeled = encode(pair.source, pair.gold, dictionary, tokenizer, rng_seed=seed)
+        assert labeled.units == tuple(units)
+        for unit, span, label in zip(units, spans, labeled.labels):
+            if label != UNCORRECTABLE_ID:
+                assert apply_transformation(dictionary.transformation_for(label), unit) == span
 
 
 def test_dictionary_file_round_trip():
