@@ -7,17 +7,20 @@ are cut from the original gold text. The gold sentence receives one prepended
 space so that its words carry the same leading-space convention as the
 subwords.
 
-The dynamic program is exact and pure Python. Edit distances are computed
-bit-parallel (Myers 1999; Hyyro 2003 for the global distance), one integer
-step per gold character. The span of a subword stops growing once it is so
-much longer than the subword that its weight, at most ``0.5 * ls / glen``
+The dynamic program is exact and pure Python; it runs one row per subword,
+from the last one back (``_solve_dp``). Within a row, every start offset is a
+lane of one Python int, and each gold character advances the bit-parallel
+edit distance (Myers 1999; Hyyro 2003 for the global distance) of all lanes
+at once (``_row``). Spans that end in spaces are folded into the span before
+the spaces, and a lane stops once its weight, at most ``0.5 * ls / glen``
 (trimmed lengths ``ls`` of the subword and ``glen`` of the span), plus the
-best weight left after it cannot reach the best span found; see
-``_solve_dp``.
+best weight left after it cannot reach its best span. Each row is kept, and
+the spans are read back from the rows with ``span_cost``.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,10 +32,7 @@ SPAN_BOUND_BASE = 8
 SPAN_BOUND_PER_CHAR = 3
 
 _NEG = float("-inf")
-
-# Exhaustive search limits for the reference implementation.
-BRUTEFORCE_MAX_SUBWORDS = 5
-BRUTEFORCE_MAX_GOLD = 16
+_INF = float("inf")
 
 
 class AlignmentError(ValueError):
@@ -57,8 +57,9 @@ def edit_distance(a: str, b: str) -> int:
     Myers (1999) with the global-distance boundary of Hyyro (2003): ``vp`` and
     ``vn`` hold the +1/-1 vertical deltas of the current DP column, one bit
     per character of ``a``, and each character of ``b`` advances the column
-    in a constant number of integer operations. ``_solve_dp`` runs the same
-    step inline.
+    in a constant number of integer operations. ``_row`` runs the same step
+    on many columns at once, one per lane of a wider int; this function
+    prices the spans of the traceback.
     """
     if not a:
         return len(b)
@@ -167,153 +168,199 @@ def _solve_dp(normed: list[str], g: str, bounded: bool):
     """Best weight and spans over the normalized gold ``g``, or None without a cover.
 
     Rows run from the last subword back; ``w_next[e]`` is the best weight of
-    the later subwords over ``g[e:]``. For each start offset the span grows
-    one character at a time, and the edit distance of the stripped subword
-    to the stripped span advances by one bit-parallel column step (Myers
-    1999, with the global-distance boundary of Hyyro 2003). It is the step
-    of ``edit_distance``, inlined: a generator call per character made
-    alignment about 15% slower.
-
-    The span loop stops early, without changing the result. Once the stripped
-    span is longer than the stripped subword (``glen > ls``), neither an
-    exact nor a trimmed-equal match is possible any more, and the distance is
-    at least ``glen - ls``, so this and every longer span costs at most
-    ``0.5 * ls / glen``; ``glen`` never shrinks as the span grows. With
-    ``sufmax[e]``, the best tail weight at ``e`` or later, no later candidate
-    can then exceed ``0.5 * ls / glen + sufmax[e]``. The loop breaks when that
-    bound is below the best candidate by more than 1e-9, so a candidate that
-    could tie the best, which the tie rules might prefer, is never cut.
+    the later subwords over ``g[e:]``, and ``_row`` computes the row of one
+    subword. Each row is kept as an ``array('d')``; the spans are recovered
+    from them afterwards. A subword at offset ``j`` is skipped when its row
+    holds the same value as the next row there, else it takes the first end
+    ``e`` whose ``span_cost`` plus ``w_next[e]`` gives that value. These are
+    the tie rules: a span must beat skipping, and a longer span must beat a
+    shorter one.
     """
-    n = len(normed)
     m = len(g)
     # nonspace[j]: the first offset at or after j that is not a space
     nonspace = list(range(m + 1))
     for j in range(m - 1, -1, -1):
         if g[j] == " ":
             nonspace[j] = nonspace[j + 1]
+    # maximal runs of spaces as (first offset, length)
+    runs = [(j, nonspace[j] - j) for j in range(m) if g[j] == " " and (j == 0 or g[j - 1] != " ")]
+    # lanes at spaces start no span; +inf lets the cut drop them
+    lanes = [_INF if ch == " " else _NEG for ch in g] + [_NEG]
+    tables: dict[tuple[int, int], list[float]] = {}
 
-    w_next = [0.0 if nonspace[j] == m else _NEG for j in range(m + 1)]
-    choices: list[list[int]] = []
-    neg = _NEG
-
-    for i in range(n - 1, -1, -1):
-        s = normed[i]
-        stripped = s.strip()
-        ls = len(stripped)
-        ns = len(s)
-        half_ls = 0.5 * ls
-        limit_default = span_length_bound(ns) if bounded else m
-        sufmax = w_next[:]
-        for e in range(m - 1, -1, -1):
-            if sufmax[e + 1] > sufmax[e]:
-                sufmax[e] = sufmax[e + 1]
-        peq = _peq(stripped)
-        eqs = [peq.get(ch, 0) for ch in g]
-        mask = (1 << ls) - 1
-        # With an empty pattern each step must add 1, which bit 0 of hp does.
-        high = 1 << (ls - 1) if ls else 1
-        w_cur = [neg] * (m + 1)
-        ci = [0] * (m + 1)
-        for j in range(m + 1):
-            best = w_next[j]
-            choice = 0
-            stop = j + min(m - j, limit_default)
-            first = nonspace[j]  # whitespace-only spans are never candidates
-            exact_end = j + ns if g.startswith(s, j) else -1
-            vp, vn, dist = mask, 0, ls
-            for e in range(first + 1, stop + 1):
-                eq = eqs[e - 1]
-                xv = eq | vn
-                xh = (((eq & vp) + vp) ^ vp) | eq
-                hp = vn | ~(xh | vp)
-                hn = vp & xh
-                if hp & high:
-                    dist += 1
-                elif hn & high:
-                    dist -= 1
-                hp = (hp << 1) | 1
-                vp = ((hn << 1) | ~(xv | hp)) & mask
-                vn = hp & xv
-                # trailing whitespace joins the stripped span only once
-                # content follows it, so the cost changes at content only
-                if g[e - 1] != " ":
-                    glen = e - first
-                    if glen > ls and half_ls / glen + sufmax[e] < best - 1e-9:
-                        break
-                    c = _stripped_cost(dist, ls, glen)
-                tail = w_next[e]
-                if tail == neg:
-                    continue
-                cand = (1.0 if e == exact_end else c) + tail
-                if cand > best:
-                    best = cand
-                    choice = e - j
-            w_cur[j] = best
-            ci[j] = choice
-        w_next = w_cur
-        choices.append(ci)
-
-    if w_next[0] == _NEG:
+    rows = [array("d", [0.0 if nonspace[j] == m else _NEG for j in range(m + 1)])]
+    for s in reversed(normed):
+        limit = span_length_bound(len(s)) if bounded else m
+        rows.append(_row(s, g, rows[-1], limit, nonspace, runs, lanes, tables))
+    if rows[-1][0] == _NEG:
         return None
-    choices.reverse()
+    rows.reverse()
     spans = []
     j = 0
-    for i in range(n):
-        l = choices[i][j]
-        spans.append((j, j + l))
-        j += l
-    return w_next[0], spans
+    for s, value, w_next in zip(normed, rows, rows[1:]):
+        e = j
+        if value[j] != w_next[j]:
+            e = nonspace[j] + 1
+            while span_cost(s, g[j:e]) + w_next[e] != value[j]:
+                e += 1
+        spans.append((j, e))
+        j = e
+    return rows[0][0], spans
 
 
-def align_bruteforce(subwords: Sequence[str], gold: str) -> Alignment:
-    """Reference alignment by exhaustive enumeration of contiguous span partitions.
+def _advance(best: list[float], table: list[float], dists, tails: list[float]) -> list[float]:
+    """One step of running maxima: lane ``p`` takes ``table[dists[p]] + tails[p]`` if larger."""
+    costs = map(table.__getitem__, dists)
+    return [x if x >= (y := c + f) else y for x, c, f in zip(best, costs, tails)]
 
-    Only intended for tests; raises ValueError beyond
-    ``BRUTEFORCE_MAX_SUBWORDS`` subwords or ``BRUTEFORCE_MAX_GOLD`` gold
-    characters.
+
+def _row(
+    s: str,
+    g: str,
+    w_next: array,
+    limit: int,
+    nonspace: list[int],
+    runs: list[tuple[int, int]],
+    lanes: list[float],
+    tables: dict[tuple[int, int], list[float]],
+) -> array:
+    """Best weight at every start offset for subword ``s`` followed by ``w_next``.
+
+    A start ``j`` may skip ``s`` (``w_next[j]``) or give it a span ``g[j:e]``
+    with ``nonspace[j] < e <= j + limit``. Such a span costs ``span_cost``:
+    1.0 for an exact match (found with ``g.find``), else a function of the
+    edit distance between the stripped subword and ``g[p:e']``, where
+    ``p = nonspace[j]`` and ``e'`` is ``e`` less its trailing spaces.
+
+    **Lanes.** The distances of all starts ``p`` advance together, one gold
+    character per step: lane ``p`` of a Python int holds the Myers (1999)
+    bit vectors ``vp``/``vn`` of start ``p``, with the global-distance
+    boundary of Hyyro (2003), so about a dozen big-int operations advance
+    every lane by one character. A lane is ``8 * B`` bits wide, ``B`` a power
+    of two with ``8 * B > ls``: one guard bit takes the carry of the
+    addition, and the lanes come out through ``int.to_bytes``. After ``t``
+    characters the distance ``d`` of a lane lies in ``[|t - ls|, max(t,
+    ls)]``; the lanes count ``d - |t - ls|``, which lies in ``[0, ls]``, and
+    a table built with ``_stripped_cost`` maps it to the cost of step ``t``.
+    The running best of every lane is one list, replaced by one
+    comprehension per step (``_advance``); nothing of a step outlives it.
+
+    **Fold.** An end just after a space costs what the end before the space
+    costs, so a run of spaces is folded into the end before it:
+    ``folds[l][e]`` is the best ``w_next`` over ``e`` and the first ``l``
+    spaces after it, and ``-inf`` at an end after a space. The fold must not
+    reach past the cap ``j + limit``, so a step ``l`` steps before the cap
+    uses ``folds[l]`` (``folds[longest]``, all of every run, before that).
+    A start ``d`` spaces before its lane has a cap ``d`` steps earlier: once
+    that cap is within ``longest`` steps, it forks its own copy of the
+    lane's running best (a track), which goes on with its own folds.
+
+    **Cut.** Once a span is longer than the stripped subword (``glen > ls``)
+    it costs at most ``0.5 * ls / glen``, so with ``sufmax[e]``, the best
+    tail at ``e`` or later, no later end of a lane can give more than
+    ``0.5 * ls / glen + sufmax[e]``. Lanes whose bound is below their best by
+    more than 1e-9 (so a tie is never cut) leave the window of live lanes at
+    either end, and the steps stop when it is empty. A lane that no end with
+    a finite tail can reach never enters it. The cut stops once a track
+    forks, which in the unbounded retry (every cap at the end of ``g``)
+    happens only in the last steps, when few lanes are left.
     """
-    if len(subwords) > BRUTEFORCE_MAX_SUBWORDS or len(gold) > BRUTEFORCE_MAX_GOLD:
-        raise ValueError("instance too large for exhaustive alignment")
-    lead_gold, view, normed = _prepare(subwords, gold)
-    g = view.normalized
     m = len(g)
-    n = len(normed)
-    tail_ws = [False] * (m + 1)
-    tail_ws[m] = True
-    for j in range(m - 1, -1, -1):
-        tail_ws[j] = tail_ws[j + 1] and g[j] == " "
+    ns = len(s)
+    stripped = s.strip()
+    ls = len(stripped)
+    nsteps = min(limit, m)
+    longest = max((n for _, n in runs), default=0)
+    w_next = w_next.tolist()  # one float object per offset, shared by the copies below
+    sufmax = w_next + [_NEG]
+    x = _NEG
+    for e in range(m, -1, -1):
+        if sufmax[e] < x:
+            sufmax[e] = x
+        else:
+            x = sufmax[e]
+    fold = w_next[:]
+    for q, n in runs:
+        fold[q + 1 : q + n + 1] = [_NEG] * n
+    folds = [fold]
+    for l in range(1, longest + 1):
+        fold = fold[:]
+        for q, n in runs:
+            if n >= l and w_next[q + l] > fold[q]:
+                fold[q] = w_next[q + l]
+        folds.append(fold)
 
-    def best(i: int, j: int, bounded: bool, memo: dict):
-        if i == n:
-            return (0.0, ()) if tail_ws[j] else None
-        key = (i, j)
-        if key in memo:
-            return memo[key]
-        s = normed[i]
-        result = None
-        tail = best(i + 1, j, bounded, memo)
-        if tail is not None:
-            result = (tail[0], ((j, j),) + tail[1])
-        limit = min(m - j, span_length_bound(len(s)) if bounded else m)
-        for l in range(1, limit + 1):
-            span = g[j : j + l]
-            if span.isspace():
-                continue
-            rest = best(i + 1, j + l, bounded, memo)
-            if rest is None:
-                continue
-            cand = span_cost(s, span) + rest[0]
-            if result is None or cand > result[0]:
-                result = (cand, ((j, j + l),) + rest[1])
-        memo[key] = result
-        return result
+    B = 1
+    while 8 * B <= ls:
+        B *= 2
+    W = 8 * B
+    low = int.from_bytes((b"\x01" + bytes(B - 1)) * m, "little")
+    mask = low * ((1 << ls) - 1)
+    high = low << (ls - 1) if ls else 0
+    zero = bytes(B)
+    peq = {ch: v.to_bytes(B, "little") for ch, v in _peq(stripped).items()}
+    eqs = int.from_bytes(b"".join([peq.get(ch, zero) for ch in g]), "little")
+    vp, vn, r = mask, 0, 0
+    best = lanes[:]
+    tracks: dict[int, list[float]] = {}
+    half_ls = 0.5 * ls
+    lo = max(0, next((e for e, x in enumerate(folds[-1]) if x != _NEG), m + nsteps) - nsteps)
+    hi = m
+    for k in range(nsteps):
+        hi = min(hi, m - k)  # lanes whose end p + k + 1 is still in g
+        if lo >= hi:
+            break
+        if ls:
+            eq = eqs >> (k * W)
+            xv = eq | vn
+            xh = (((eq & vp) + vp) ^ vp) | eq
+            hp = (vn | ~(xh | vp)) & mask
+            hn = vp & xh
+            r += (((hp & high) - (hn & high)) >> (ls - 1)) + (-low if k >= ls else low)
+            hp = (hp << 1) | low
+            vp = ((hn << 1) | ~(xv | hp)) & mask
+            vn = hp & xv
+        t = k + 1
+        table = tables.get((ls, t))
+        if table is None:
+            table = tables[ls, t] = [_stripped_cost(x + abs(t - ls), ls, t) for x in range(ls + 1)]
+        rb = r.to_bytes(m * B, "little")
+        if ls < 256:  # the count fits the low byte of its lane
+            dists = rb[lo * B : hi * B : B]
+        else:
+            dists = [int.from_bytes(rb[i : i + B], "little") for i in range(lo * B, hi * B, B)]
+        for d in range(1, longest + 1):
+            l = limit - 1 - d - k  # spaces left before the cap of a start d before its lane
+            if 0 <= l < longest:
+                track = tracks.get(d)
+                if track is None:
+                    track = tracks[d] = best[:]
+                track[lo:hi] = _advance(track[lo:hi], table, dists, folds[l][lo + t : hi + t])
+        fold = folds[min(limit - 1 - k, longest)]
+        best[lo:hi] = _advance(best[lo:hi], table, dists, fold[lo + t : hi + t])
+        if t + 1 > ls and not tracks:
+            # drop finished lanes from both ends of the window
+            bound = half_ls / (t + 1)
+            while lo < hi and bound + sufmax[lo + t + 1] < best[lo] - 1e-9:
+                lo += 1
+            while lo < hi and bound + sufmax[hi + t] < best[hi - 1] - 1e-9:
+                hi -= 1
 
-    solved = best(0, 0, True, {})
-    if solved is None:
-        solved = best(0, 0, False, {})
-    if solved is None:
-        raise AlignmentError("no complete alignment exists")
-    weight, norm_spans = solved
-    cuts = view.boundaries()
-    spans = tuple((cuts[a], cuts[b]) for a, b in norm_spans)
-    return Alignment(lead_gold, spans, weight)
+    del sufmax, folds, fold
+    # from lanes to starts: a start at a space takes its lane's value
+    for q, n in runs:
+        p = q + n
+        best[q:p] = [best[p]] * n
+        for d, track in tracks.items():
+            if n >= d:
+                best[p - d] = track[p]
+        if n >= limit:  # the caps of the first starts end before their lane
+            best[q : p - limit + 1] = [_NEG] * (n - limit + 1)
+    if ls:
+        j = g.find(s)
+        while j >= 0:
+            exact = 1.0 + w_next[j + ns]
+            if exact > best[j]:
+                best[j] = exact
+            j = g.find(s, j + 1)
+    return array("d", [x if x >= y else y for x, y in zip(w_next, best)])

@@ -13,6 +13,7 @@ import json
 import logging
 import sys
 import traceback
+import unicodedata
 from pathlib import Path
 
 from . import __version__
@@ -219,7 +220,9 @@ def cmd_apply(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     pairs = _load_pairs(args.corpus, args.annotator)
-    hypothesis_lines = Path(args.hypothesis).read_text(encoding="utf-8").splitlines()
+    # NFC, as load_corpus reads the corpus, so that equal text compares equal
+    text = unicodedata.normalize("NFC", Path(args.hypothesis).read_text(encoding="utf-8"))
+    hypothesis_lines = text.splitlines()
     if len(hypothesis_lines) != len(pairs):
         raise FormatError(
             f"hypothesis has {len(hypothesis_lines)} lines, corpus has {len(pairs)}"

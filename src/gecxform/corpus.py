@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import unicodedata
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -10,7 +11,6 @@ from .errors import FormatError
 from .textnorm import strip_diacritics
 
 NONE_FIELD = "-NONE-"
-REQUIRED_FIELD = "REQUIRED"
 
 
 @dataclass(frozen=True)
@@ -134,20 +134,6 @@ def parse_m2(text: str, annotator: int = 0) -> list[SentencePair]:
     return pairs
 
 
-def serialize_m2(pairs: list[SentencePair]) -> str:
-    blocks = []
-    for pair in pairs:
-        lines = [f"S {pair.source}"]
-        for e in pair.gold_edits:
-            correction = e.correction if e.correction else NONE_FIELD
-            lines.append(
-                f"A {e.start_token} {e.end_token}|||{e.type_tag}|||{correction}"
-                f"|||{REQUIRED_FIELD}|||{NONE_FIELD}|||{e.annotator}"
-            )
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"
-
-
 def parse_tsv(text: str) -> list[SentencePair]:
     """Parse ``source<TAB>gold`` lines into pairs without gold edits."""
     pairs = []
@@ -167,9 +153,14 @@ def serialize_tsv(pairs: list[SentencePair]) -> str:
 
 
 def load_corpus(path: str | Path, annotator: int = 0) -> list[SentencePair]:
-    """Load a corpus by extension: .m2 for M2 blocks, anything else as TSV."""
+    """Load a corpus by extension: .m2 for M2 blocks, anything else as TSV.
+
+    The text is NFC-normalized: a decomposed letter such as ``е`` + U+0308
+    would otherwise leave a combining mark in an uncased gold span, which no
+    rule built from the folded source can produce.
+    """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = unicodedata.normalize("NFC", path.read_text(encoding="utf-8"))
     try:
         if path.suffix.lower() == ".m2":
             return parse_m2(text, annotator=annotator)

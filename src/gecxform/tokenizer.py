@@ -10,6 +10,7 @@ sentence.
 
 from __future__ import annotations
 
+import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -135,8 +136,10 @@ def load_vocab(path: str | Path, casing: CasingMode = CasingMode.CASED) -> froze
     """Read a vocabulary file: UTF-8, one piece per line, leading space significant.
 
     In uncased mode every piece must already be lowercase and undiacritized.
+    The text is NFC-normalized, as corpora are at load, so that a decomposed
+    piece still matches.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = unicodedata.normalize("NFC", Path(path).read_text(encoding="utf-8"))
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()

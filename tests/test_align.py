@@ -4,19 +4,184 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpusgen import ONSETS, SUFFIXES, VOWELS, gold_corpus, uncased_noise_config
+from gecxform.corpus import corrupt_corpus
 from gecxform.align import (
-    BRUTEFORCE_MAX_GOLD,
-    BRUTEFORCE_MAX_SUBWORDS,
+    _NEG,
     Alignment,
     AlignmentError,
+    _peq,
+    _prepare,
+    _stripped_cost,
     align,
-    align_bruteforce,
     edit_distance,
     span_cost,
     span_length_bound,
 )
-from gecxform.textnorm import CasingMode
+from gecxform.textnorm import CasingMode, alignment_normalize
 from gecxform.tokenizer import TokenizerMode, tokenize
+
+# Exhaustive search limits for the brute-force alignment.
+BRUTEFORCE_MAX_SUBWORDS = 5
+BRUTEFORCE_MAX_GOLD = 16
+
+
+def align_bruteforce(subwords, gold):
+    """Reference alignment by exhaustive enumeration of contiguous span partitions.
+
+    Raises ValueError beyond ``BRUTEFORCE_MAX_SUBWORDS`` subwords or
+    ``BRUTEFORCE_MAX_GOLD`` gold characters.
+    """
+    if len(subwords) > BRUTEFORCE_MAX_SUBWORDS or len(gold) > BRUTEFORCE_MAX_GOLD:
+        raise ValueError("instance too large for exhaustive alignment")
+    lead_gold, view, normed = _prepare(subwords, gold)
+    g = view.normalized
+    m = len(g)
+    n = len(normed)
+    tail_ws = [False] * (m + 1)
+    tail_ws[m] = True
+    for j in range(m - 1, -1, -1):
+        tail_ws[j] = tail_ws[j + 1] and g[j] == " "
+
+    def best(i, j, bounded, memo):
+        if i == n:
+            return (0.0, ()) if tail_ws[j] else None
+        key = (i, j)
+        if key in memo:
+            return memo[key]
+        s = normed[i]
+        result = None
+        tail = best(i + 1, j, bounded, memo)
+        if tail is not None:
+            result = (tail[0], ((j, j),) + tail[1])
+        limit = min(m - j, span_length_bound(len(s)) if bounded else m)
+        for l in range(1, limit + 1):
+            span = g[j : j + l]
+            if span.isspace():
+                continue
+            rest = best(i + 1, j + l, bounded, memo)
+            if rest is None:
+                continue
+            cand = span_cost(s, span) + rest[0]
+            if result is None or cand > result[0]:
+                result = (cand, ((j, j + l),) + rest[1])
+        memo[key] = result
+        return result
+
+    solved = best(0, 0, True, {})
+    if solved is None:
+        solved = best(0, 0, False, {})
+    if solved is None:
+        raise AlignmentError("no complete alignment exists")
+    return _alignment(view, lead_gold, solved)
+
+
+def _alignment(view, lead_gold, solved):
+    weight, norm_spans = solved
+    cuts = view.boundaries()
+    return Alignment(lead_gold, tuple((cuts[a], cuts[b]) for a, b in norm_spans), weight)
+
+
+def reference_solve_dp(normed, g, bounded):
+    """The one-start-at-a-time kernel: a span loop per start offset.
+
+    For each start offset the span grows one character at a time, and the
+    edit distance of the stripped subword to the stripped span advances by
+    one bit-parallel column step. The loop breaks once
+    ``0.5 * ls / glen + sufmax[e]`` is below the best candidate by more than
+    1e-9. Spans are read back from a table of choices.
+    """
+    n = len(normed)
+    m = len(g)
+    nonspace = list(range(m + 1))
+    for j in range(m - 1, -1, -1):
+        if g[j] == " ":
+            nonspace[j] = nonspace[j + 1]
+
+    w_next = [0.0 if nonspace[j] == m else _NEG for j in range(m + 1)]
+    choices = []
+    neg = _NEG
+
+    for i in range(n - 1, -1, -1):
+        s = normed[i]
+        stripped = s.strip()
+        ls = len(stripped)
+        ns = len(s)
+        half_ls = 0.5 * ls
+        limit_default = span_length_bound(ns) if bounded else m
+        sufmax = w_next[:]
+        for e in range(m - 1, -1, -1):
+            if sufmax[e + 1] > sufmax[e]:
+                sufmax[e] = sufmax[e + 1]
+        peq = _peq(stripped)
+        eqs = [peq.get(ch, 0) for ch in g]
+        mask = (1 << ls) - 1
+        # With an empty pattern each step must add 1, which bit 0 of hp does.
+        high = 1 << (ls - 1) if ls else 1
+        w_cur = [neg] * (m + 1)
+        ci = [0] * (m + 1)
+        for j in range(m + 1):
+            best = w_next[j]
+            choice = 0
+            stop = j + min(m - j, limit_default)
+            first = nonspace[j]  # whitespace-only spans are never candidates
+            exact_end = j + ns if g.startswith(s, j) else -1
+            vp, vn, dist = mask, 0, ls
+            for e in range(first + 1, stop + 1):
+                eq = eqs[e - 1]
+                xv = eq | vn
+                xh = (((eq & vp) + vp) ^ vp) | eq
+                hp = vn | ~(xh | vp)
+                hn = vp & xh
+                if hp & high:
+                    dist += 1
+                elif hn & high:
+                    dist -= 1
+                hp = (hp << 1) | 1
+                vp = ((hn << 1) | ~(xv | hp)) & mask
+                vn = hp & xv
+                # trailing whitespace joins the stripped span only once
+                # content follows it, so the cost changes at content only
+                if g[e - 1] != " ":
+                    glen = e - first
+                    if glen > ls and half_ls / glen + sufmax[e] < best - 1e-9:
+                        break
+                    c = _stripped_cost(dist, ls, glen)
+                tail = w_next[e]
+                if tail == neg:
+                    continue
+                cand = (1.0 if e == exact_end else c) + tail
+                if cand > best:
+                    best = cand
+                    choice = e - j
+            w_cur[j] = best
+            ci[j] = choice
+        w_next = w_cur
+        choices.append(ci)
+
+    if w_next[0] == _NEG:
+        return None
+    choices.reverse()
+    spans = []
+    j = 0
+    for i in range(n):
+        l = choices[i][j]
+        spans.append((j, j + l))
+        j += l
+    return w_next[0], spans
+
+
+def align_reference(subwords, gold):
+    """``align`` over the reference kernel, with the same unbounded retry."""
+    lead_gold, view, normed = _prepare(subwords, gold)
+    g = view.normalized
+    solved = reference_solve_dp(normed, g, bounded=True)
+    if solved is None:
+        solved = reference_solve_dp(normed, g, bounded=False)
+    if solved is None:
+        raise AlignmentError("no complete alignment exists")
+    return _alignment(view, lead_gold, solved)
+
 
 FIG_VOCAB = TokenizerMode.vocab_greedy({" gathe", "rin", " lea", "fes"})
 
@@ -174,3 +339,156 @@ def test_bound_lifted_when_no_bounded_cover_exists():
 def test_alignment_span_texts_property():
     result = Alignment(" ab cd", ((0, 3), (3, 6)), 2.0)
     assert result.span_texts == [" ab", " cd"]
+
+
+# --- the lane-parallel kernel against the reference kernel ---------------------
+
+LETTERS = "abcdeiklmnorstuáčéěřůžABČŘ"
+
+
+def assert_same_as_reference(subwords, gold):
+    try:
+        slow = align_reference(subwords, gold)
+    except AlignmentError:
+        with pytest.raises(AlignmentError):
+            align(subwords, gold)
+        return
+    fast = align(subwords, gold)
+    assert fast.spans == slow.spans
+    assert fast.total_weight == slow.total_weight
+
+
+def _pieces(draw, word):
+    """``" " + word`` cut into one to four pieces."""
+    text = " " + word
+    cuts = sorted(draw(st.sets(st.integers(1, len(text) - 1), max_size=3)))
+    return [text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)])]
+
+
+@st.composite
+def large_instances(draw):
+    """Up to 40 subwords against up to 300 gold characters.
+
+    Gold words run to 20 letters (lanes of 16 and 32 bits), with diacritics,
+    capitals, punctuation, runs of two or three spaces and runs longer than
+    some span bounds. The subwords are the gold words kept, edited, dropped
+    or joined by an extra word, cut into pieces, with an occasional subword
+    that folds to "" or to " ".
+    """
+    words = draw(
+        st.lists(
+            st.one_of(
+                st.text(LETTERS, min_size=1, max_size=7),
+                st.text(LETTERS, min_size=8, max_size=20),
+                st.sampled_from(".,!?"),
+            ),
+            min_size=8,
+            max_size=40,
+        )
+    )
+    seps = draw(
+        st.lists(st.sampled_from([" "] * 6 + ["  ", "  ", "   ", " " * 12]), min_size=len(words))
+    )
+    gold = "".join(sep + w for sep, w in zip(seps, words))[1:301]
+    subwords = []
+    for word in words:
+        op = draw(st.sampled_from(["keep", "keep", "edit", "drop", "extra"]))
+        if op == "drop":
+            continue
+        if op == "edit":
+            k = draw(st.integers(0, len(word) - 1))
+            word = word[:k] + draw(st.sampled_from(LETTERS)) + word[k + 1 :]
+        if op == "extra":
+            subwords.append(" " + draw(st.text(LETTERS, min_size=1, max_size=5)))
+        subwords += _pieces(draw, word)
+        if draw(st.integers(0, 9)) == 0:
+            subwords.append(draw(st.sampled_from(["\u0301", " \u0301"])))
+    return subwords[:40] or [" a"], gold
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(large_instances())
+def test_align_matches_reference_kernel_on_large_instances(instance):
+    assert_same_as_reference(*instance)
+
+
+@st.composite
+def tight_instances(draw):
+    """Two to five subwords whose span bounds barely cover the gold text.
+
+    Every span then runs up to its cap, so starts at spaces, caps inside runs
+    of spaces and the folds cut at a cap decide the alignment.
+    """
+    pieces = st.sampled_from([" a", "b", " ab", ".", " xy", "  a", " ba"])
+    subwords = draw(st.lists(pieces, min_size=2, max_size=5))
+    reach = sum(span_length_bound(len(alignment_normalize(s))) for s in subwords)
+    gold = draw(st.text("ab xá.", min_size=reach - 6, max_size=reach - 1))
+    return subwords, gold + draw(st.sampled_from("abx."))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(tight_instances())
+def test_align_matches_reference_kernel_at_the_span_bounds(instance):
+    assert_same_as_reference(*instance)
+
+
+@st.composite
+def retry_instances(draw):
+    """One to three short subwords against a gold text longer than their span bounds."""
+    subwords = draw(
+        st.lists(
+            st.sampled_from([" a", "b", " ab", ".", " xy", "\u0301", " \u0301", "  a"]),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    reach = sum(span_length_bound(len(alignment_normalize(s))) for s in subwords)
+    body = draw(st.text("ab xá.", min_size=reach, max_size=reach + 40))
+    return subwords, body + draw(st.sampled_from("abx."))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(retry_instances())
+def test_align_matches_reference_kernel_after_unbounded_retry(instance):
+    subwords, gold = instance
+    _, view, normed = _prepare(subwords, gold)
+    assert reference_solve_dp(normed, view.normalized, bounded=True) is None
+    assert_same_as_reference(subwords, gold)
+
+
+def _corpusgen_vocab():
+    bodies = [o + v for o in ONSETS for v in VOWELS] + SUFFIXES
+    return {p for b in bodies for p in (b, " " + b, " " + b.capitalize())}
+
+
+@pytest.mark.parametrize("casing", [CasingMode.CASED, CasingMode.UNCASED])
+@pytest.mark.parametrize(
+    "tokenizer",
+    [
+        TokenizerMode.word(),
+        TokenizerMode.vocab_greedy(_corpusgen_vocab()),
+        TokenizerMode.char_chunks(1),
+        TokenizerMode.char_chunks(2),
+    ],
+    ids=["word", "vocab", "chars1", "chars2"],
+)
+def test_align_matches_reference_kernel_on_corpusgen_pairs(tokenizer, casing):
+    golds = gold_corpus(5, 11, min_words=6, max_words=14)
+    for pair in corrupt_corpus(golds, uncased_noise_config(11)):
+        assert_same_as_reference(tokenize(pair.source, tokenizer, casing), pair.gold)
+
+
+@pytest.mark.parametrize("run", [1, 2, 3, 7, 13, 14, 15, 25])
+def test_align_matches_reference_kernel_across_a_space_run(run):
+    # a start more than its span bound before the next word cannot reach it
+    gold = "ab" + " " * run + "cd ef"
+    for subwords in ([" ab", " cd", " ef"], [" a", " cd"], [" ab", "x", " ef"], [" abcd"]):
+        assert_same_as_reference(subwords, gold)
+
+
+def test_align_matches_reference_kernel_beyond_one_byte_counts():
+    # 280 letters against 280 others: lanes of 512 bits and counts up to 280
+    rng = random.Random(5)
+    word = "".join(rng.choice("abcde") for _ in range(280))
+    other = "".join(rng.choice("vwxyz") for _ in range(280))
+    assert_same_as_reference([" " + word, " zz"], other + " " + word[:9] + "zz")

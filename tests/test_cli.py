@@ -1,4 +1,5 @@
 import json
+import unicodedata
 
 import pytest
 
@@ -313,3 +314,41 @@ def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("suffix", [".tsv", ".m2"])
+def test_decomposed_input_scores_as_composed(tmp_path, suffix):
+    # ё in NFD is е + U+0308; uncased, the mark would stay in the gold spans
+    source, gold = "ежик пошел", "ёжик пошёл"
+    if suffix == ".tsv":
+        text = f"{source}\t{gold}\n"
+    else:
+        text = f"S {source}\n" + "".join(
+            f"A {k} {k + 1}|||OTHER|||{word}|||REQUIRED|||-NONE-|||0\n"
+            for k, word in enumerate(gold.split())
+        )
+    rows = {}
+    for form in ("NFC", "NFD"):
+        corpus = tmp_path / f"{form}{suffix}"
+        corpus.write_text(unicodedata.normalize(form, text), encoding="utf-8")
+        out = tmp_path / f"{form}.rows.tsv"
+        code = run(
+            "analyze", corpus, "--casing", "uncased", "--min-counts", "1",
+            "--iterations", "1", "--out", out,
+        )
+        assert code == 0
+        header, *lines = out.read_text(encoding="utf-8").splitlines()
+        f_half = header.split("\t").index("f0.5")
+        rows[form] = [line.split("\t")[f_half] for line in lines]
+    assert rows["NFC"] == ["1.0000"] * 4
+    assert rows["NFD"] == rows["NFC"]
+
+
+def test_evaluate_reads_decomposed_hypothesis_as_composed(tmp_path):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("ежик пошел\tёжик пошёл\n", encoding="utf-8")
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text(unicodedata.normalize("NFD", "ёжик пошёл\n"), encoding="utf-8")
+    out = tmp_path / "report.tsv"
+    assert run("evaluate", corpus, "--hypothesis", hyp, "--out", out) == 0
+    assert out.read_text(encoding="utf-8").splitlines()[1].endswith("\t1.0000")

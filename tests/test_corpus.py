@@ -3,6 +3,7 @@ import random
 import pytest
 
 from gecxform.corpus import (
+    NONE_FIELD,
     CorruptionConfig,
     GoldEdit,
     SentencePair,
@@ -13,7 +14,6 @@ from gecxform.corpus import (
     parse_m2,
     parse_tsv,
     replay_edits,
-    serialize_m2,
     serialize_tsv,
 )
 from gecxform.errors import FormatError
@@ -31,6 +31,21 @@ def replay_oracle(source, edits):
         consumed = e.end_token
     out.extend(tokens[consumed:])
     return " ".join(out)
+
+
+def serialize_m2(pairs):
+    """M2 blocks for ``pairs``: the inverse of ``parse_m2`` on well-formed input."""
+    blocks = []
+    for pair in pairs:
+        lines = [f"S {pair.source}"]
+        for e in pair.gold_edits:
+            correction = e.correction if e.correction else NONE_FIELD
+            lines.append(
+                f"A {e.start_token} {e.end_token}|||{e.type_tag}|||{correction}"
+                f"|||REQUIRED|||{NONE_FIELD}|||{e.annotator}"
+            )
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
 
 
 # --- M2 -----------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import unicodedata
 from itertools import accumulate
 
 import pytest
@@ -100,6 +101,13 @@ def test_load_vocab(tmp_path):
     path.write_text(" gathe\nrin\n lea\nfes\n", encoding="utf-8")
     vocab = load_vocab(path)
     assert vocab == frozenset({" gathe", "rin", " lea", "fes"})
+
+
+def test_load_vocab_reads_decomposed_pieces_as_composed(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_text(unicodedata.normalize("NFD", " řeka\n"), encoding="utf-8")
+    mode = TokenizerMode.vocab_greedy(load_vocab(path))
+    assert tokenize("řeka", mode, CasingMode.CASED) == [" řeka"]
 
 
 def test_load_vocab_rejects_cased_pieces_in_uncased_mode(tmp_path):
