@@ -1,6 +1,7 @@
 """Command-line pipelines: induce, encode, apply, evaluate, analyze, corrupt.
 
-Every command is deterministic given its flags and seed; a JSON manifest with
+Every command is deterministic given its inputs and flags; only ``corrupt``
+draws random numbers, seeded by ``--seed`` or its config. A JSON manifest with
 flag values and input digests is written next to each output file. Exit codes:
 0 success, 1 internal error, 2 usage or format error.
 """
@@ -23,6 +24,7 @@ from .corpus import (
     load_corpus,
     load_corruption_config,
     serialize_tsv,
+    split_lines,
 )
 from .errors import FormatError
 from .evaluate import analyze, pair_gold_edits, rows_to_tsv, score
@@ -156,11 +158,9 @@ def cmd_encode(args: argparse.Namespace) -> int:
     pairs = _load_pairs(args.corpus, args.annotator)
     lines = []
     uncorrectable = skipped = 0
-    for idx, pair in enumerate(pairs):
+    for pair in pairs:
         try:
-            labeled = encode(
-                pair.source, pair.gold, dictionary, tokenizer, rng_seed=args.seed ^ idx
-            )
+            labeled = encode(pair.source, pair.gold, dictionary, tokenizer)
         except ValueError as exc:
             log.warning("skipping pair: %s (source=%r)", exc, pair.source)
             labeled = _unaligned_record(pair.source, dictionary, tokenizer)
@@ -222,7 +222,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     pairs = _load_pairs(args.corpus, args.annotator)
     # NFC, as load_corpus reads the corpus, so that equal text compares equal
     text = unicodedata.normalize("NFC", Path(args.hypothesis).read_text(encoding="utf-8"))
-    hypothesis_lines = text.splitlines()
+    hypothesis_lines = split_lines(text)
     if len(hypothesis_lines) != len(pairs):
         raise FormatError(
             f"hypothesis has {len(hypothesis_lines)} lines, corpus has {len(pairs)}"
@@ -310,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dict", required=True, dest="dictionary")
     p.add_argument("--mode", choices=MODE_CHOICES, help="cross-check against the dictionary")
     p.add_argument("--annotator", type=_int_at_least(0), default=0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     _add_tokenizer_flags(p)
     p.set_defaults(func=cmd_encode)

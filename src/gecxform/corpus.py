@@ -134,13 +134,18 @@ def parse_m2(text: str, annotator: int = 0) -> list[SentencePair]:
     return pairs
 
 
-def parse_tsv(text: str) -> list[SentencePair]:
-    """Parse ``source<TAB>gold`` lines into pairs without gold edits."""
-    pairs = []
+def split_lines(text: str) -> list[str]:
+    r"""Lines split at "\n" only (a sentence may hold U+0085); no empty last line."""
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    for lineno, line in enumerate(lines, 1):
+    return lines
+
+
+def parse_tsv(text: str) -> list[SentencePair]:
+    """Parse ``source<TAB>gold`` lines into pairs without gold edits."""
+    pairs = []
+    for lineno, line in enumerate(split_lines(text), 1):
         fields = line.split("\t")
         if len(fields) != 2:
             raise FormatError(f"line {lineno}: expected 2 tab-separated fields")

@@ -14,7 +14,6 @@ dictionaries and iteration counts aligns each distinct text once.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -156,10 +155,8 @@ def _upper_bound_outputs(
     alignments: AlignmentMemo,
 ) -> list[str]:
     # A label other than uncorrectable rewrites its unit into its span (a lookup
-    # hit was built to, a fallback hit tested to), so the rng's draws, which only
-    # choose among matching entries, cannot change an output.
+    # hit was built to, a fallback hit tested to).
     outputs_of: dict[tuple[str, str], str] = {}
-    rng = random.Random(0)
     unit_kind = dictionary.mode.unit
     outputs = []
     for pair in pairs:
@@ -181,7 +178,7 @@ def _upper_bound_outputs(
             corrected = []
             for unit, span in zip(*cached):
                 if (unit, span) not in outputs_of:
-                    label = _encode_unit(unit, span, dictionary, rng)
+                    label = _encode_unit(unit, span, dictionary)
                     outputs_of[unit, span] = span if label else unit
                 corrected.append(outputs_of[unit, span])
             out = detokenize(corrected)

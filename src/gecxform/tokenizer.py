@@ -14,6 +14,7 @@ import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 
+from .corpus import split_lines
 from .errors import FormatError
 from .textnorm import CasingMode, fold
 
@@ -140,11 +141,8 @@ def load_vocab(path: str | Path, casing: CasingMode = CasingMode.CASED) -> froze
     piece still matches.
     """
     text = unicodedata.normalize("NFC", Path(path).read_text(encoding="utf-8"))
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
     pieces = []
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in enumerate(split_lines(text), 1):
         try:
             _check_piece(raw)
         except ValueError as exc:

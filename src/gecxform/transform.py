@@ -3,8 +3,9 @@
 A dictionary is induced per granularity (character or string programs, applied
 per subword or per word) by aligning every sentence pair, cutting the gold
 span of each unit, and counting the transformation that rewrites the unit into
-its span. Encoding looks the built transformation up by value, falls back to a
-seeded random scan of the dictionary, and finally to the uncorrectable label.
+its span. Encoding looks the built transformation up by value; on a miss it
+takes the lowest-id entry that rewrites the unit into its span, else the
+uncorrectable label, so a label depends on the unit, span and dictionary alone.
 Decoding applies the labelled transformation per unit; uncorrectable and
 inapplicable labels leave the unit unchanged.
 """
@@ -12,7 +13,6 @@ inapplicable labels leave the unit unchanged.
 from __future__ import annotations
 
 import logging
-import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
@@ -20,6 +20,7 @@ from pathlib import Path
 
 from ._parallel import map_ordered
 from .align import align
+from .corpus import split_lines
 from .editscript import (
     KEEP,
     UNCORRECTABLE,
@@ -253,12 +254,7 @@ def induce(
     return dictionary_from_counts(counts, mode, casing, min_count)
 
 
-def _encode_unit(
-    unit: str,
-    span: str,
-    dictionary: TransformationDictionary,
-    rng: random.Random,
-) -> int:
+def _encode_unit(unit: str, span: str, dictionary: TransformationDictionary) -> int:
     if span == "" and dictionary.mode.grain == "string":
         # string rules carry non-empty payloads and units are never empty,
         # so no entry can rewrite a unit into nothing
@@ -270,9 +266,7 @@ def _encode_unit(
         ident = dictionary.lookup(built)
         if ident is not None:
             return ident
-    candidates = [e for e in dictionary.entries if e.ident != UNCORRECTABLE_ID]
-    rng.shuffle(candidates)
-    for entry in candidates:
+    for entry in dictionary.entries[1:]:
         if apply_transformation(entry.transformation, unit) == span:
             return entry.ident
     return UNCORRECTABLE_ID
@@ -283,17 +277,15 @@ def encode(
     gold: str,
     dictionary: TransformationDictionary,
     tokenizer: TokenizerMode = TokenizerMode.word(),
-    rng_seed: int = 0,
 ) -> LabeledSentence:
     """Label every unit of ``source`` with the dictionary entry encoding its correction.
 
-    Direct lookup first; otherwise dictionary entries are tried in seeded
-    random order, accepting the first whose application yields the unit's
-    gold span; otherwise the uncorrectable label.
+    Direct lookup of the built transformation first; otherwise the lowest id
+    (the most frequent rule) whose application yields the unit's gold span;
+    otherwise the uncorrectable label.
     """
     units, spans = unit_pairs(source, gold, dictionary.mode, dictionary.casing, tokenizer)
-    rng = random.Random(rng_seed)
-    labels = tuple(_encode_unit(u, s, dictionary, rng) for u, s in zip(units, spans))
+    labels = tuple(_encode_unit(u, s, dictionary) for u, s in zip(units, spans))
     return LabeledSentence(tuple(units), labels)
 
 
@@ -327,9 +319,7 @@ def dumps_dictionary(dictionary: TransformationDictionary) -> str:
 
 
 def loads_dictionary(text: str) -> TransformationDictionary:
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    lines = split_lines(text)
     if not lines:
         raise FormatError("empty dictionary file")
     header = lines[0].split(" ")
@@ -347,6 +337,8 @@ def loads_dictionary(text: str) -> TransformationDictionary:
         min_count = int(fields["min_count"])
     except ValueError as exc:
         raise FormatError(str(exc)) from None
+    if min_count < 1:
+        raise FormatError(f"min_count must be >= 1, got {min_count}")
     entries = []
     for lineno, raw in enumerate(lines[1:], 2):
         parts = raw.split("\t", 2)
@@ -356,6 +348,8 @@ def loads_dictionary(text: str) -> TransformationDictionary:
             ident, count = int(parts[0]), int(parts[1])
         except ValueError:
             raise FormatError(f"line {lineno}: malformed entry {raw!r}") from None
+        if count < 0:
+            raise FormatError(f"line {lineno}: count must be >= 0, got {count}")
         try:
             transformation = parse_transformation(parts[2])
         except FormatError as exc:

@@ -173,6 +173,51 @@ def test_malformed_dictionary_exits_2_naming_the_file(tmp_path, capsys):
     assert not out.exists()
 
 
+TWO_DELETIONS_DICT = (
+    "mode=char-at-subword casing=uncased min_count=1\n"
+    "0\t0\tUNCORRECTABLE\n1\t0\tKEEP\n2\t1\tCHAR del@e1\n3\t1\tCHAR del@e2\n"
+)
+
+
+def test_encode_labels_equal_pairs_alike(tmp_path):
+    # both deletions rewrite " aa" into " a"; the label must not depend on the line
+    corpus = tmp_path / "aa.tsv"
+    corpus.write_text("aa\ta\n" * 8, encoding="utf-8")
+    dict_path = tmp_path / "del.dict"
+    dict_path.write_text(TWO_DELETIONS_DICT, encoding="utf-8")
+    labels = tmp_path / "aa.labels"
+    assert run("encode", corpus, "--dict", dict_path, "--out", labels) == 0
+    records = labels.read_text(encoding="utf-8").splitlines()
+    assert len(records) == 8 and len(set(records)) == 1
+    assert json.loads(records[0])["labels"] == [2]
+
+
+def test_encode_has_no_seed_flag(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run("encode", "c.tsv", "--dict", "d.dict", "--seed", "1", "--out", tmp_path / "x")
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        (TWO_DELETIONS_DICT.replace("min_count=1", "min_count=-4"), "min_count must be >= 1"),
+        (TWO_DELETIONS_DICT.replace("3\t1\t", "3\t-3\t"), "line 5: count must be >= 0"),
+    ],
+    ids=["min-count", "entry-count"],
+)
+def test_negative_dictionary_numbers_exit_2(tmp_path, capsys, text, where):
+    corpus = tmp_path / "aa.tsv"
+    corpus.write_text("aa\ta\n", encoding="utf-8")
+    dict_path = tmp_path / "bad.dict"
+    dict_path.write_text(text, encoding="utf-8")
+    out = tmp_path / "aa.labels"
+    assert run("encode", corpus, "--dict", dict_path, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"{dict_path}: {where}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_encode_labels_unalignable_pairs_uncorrectable(tmp_path, capsys, caplog):
     # an empty source and a whitespace-only gold: induce and analyze skip
     # these pairs; encode keeps each as its source so the files stay aligned
@@ -276,6 +321,18 @@ def test_evaluate_length_mismatch_exits_2(tmp_path):
     hyp = tmp_path / "hyp.txt"
     hyp.write_text("a c\nextra\n", encoding="utf-8")
     assert run("evaluate", corpus, "--hypothesis", hyp) == 2
+
+
+@pytest.mark.parametrize("brk", ["\x85", "\x0c", "\u2028"], ids=["nel", "ff", "ls"])
+def test_evaluate_splits_hypothesis_lines_as_the_corpus(tmp_path, capsys, brk):
+    # a sentence may hold a line break other than "\n"; the gold text repeated
+    # as the hypothesis must read as one line per pair
+    corpus = tmp_path / "eval.tsv"
+    corpus.write_text(f"a b\ta c\nd e\td{brk}e\n", encoding="utf-8")
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text(f"a c\nd{brk}e\n", encoding="utf-8")
+    assert run("evaluate", corpus, "--hypothesis", hyp) == 0
+    assert capsys.readouterr().out.split("\n")[1].split("\t")[:3] == ["1", "0", "0"]
 
 
 def test_corrupt_deterministic_and_analyze_grid(tmp_path):

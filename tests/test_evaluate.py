@@ -1,10 +1,15 @@
+import tempfile
+import unicodedata
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gecxform.evaluate as evaluate_module
 from corpusgen import corrupted_corpus, suffix_error_pairs, uncased_noise_config
-from gecxform.corpus import SentencePair, corrupt_corpus
+from gecxform.corpus import SentencePair, corrupt_corpus, load_corpus, serialize_tsv
 from gecxform.editscript import KEEP, UNCORRECTABLE
 from gecxform.evaluate import (
     ANALYSIS_HEADER,
@@ -17,7 +22,7 @@ from gecxform.evaluate import (
     rows_to_tsv,
     score,
 )
-from gecxform.textnorm import CasingMode
+from gecxform.textnorm import CasingMode, fold
 from gecxform.tokenizer import TokenizerMode
 from gecxform.transform import (
     ALL_MODES,
@@ -156,6 +161,47 @@ def test_upper_bound_iterations_preserve_perfect_scores():
     four, _ = oracle_upper_bound(pairs, dictionary, CHUNKS, iterations=4)
     assert one.f_half == 1.0
     assert four.f_half == 1.0
+
+
+# Czech, German and Russian letters, both cases; "ß".upper() is "SS"
+ALPHABETS = [
+    letters + letters.upper()
+    for letters in (
+        "aábcčdďeéěfghiíjklmnňoópqrřsštťuúůvwxyýzž",
+        "aäbcdefghijklmnoöpqrsßtuüvwxyz",
+        "абвгдеёжзийклмнопрстуфхцчшщъыьэюя",
+    )
+]
+
+
+@st.composite
+def language_pairs(draw):
+    """One to three pairs in one alphabet; each source word is the gold word,
+    its folded form, or an unrelated word."""
+    word = st.text(alphabet=draw(st.sampled_from(ALPHABETS)), min_size=1, max_size=7)
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        gold = draw(st.lists(word, min_size=1, max_size=5))
+        source = [draw(st.sampled_from([w, fold(w, U)]) | word) for w in gold]
+        pairs.append(SentencePair(" ".join(source), " ".join(gold)))
+    return pairs
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(language_pairs())
+def test_upper_bound_self_induced_is_perfect_on_decomposed_input(pairs):
+    # uncased only: cased mode cannot downcase yet (" Al" -> " Aal" is unreachable)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "nfd.tsv"
+        path.write_text(unicodedata.normalize("NFD", serialize_tsv(pairs)), encoding="utf-8")
+        loaded = load_corpus(path)
+    assert loaded == pairs
+    for tokenizer in (TokenizerMode.word(), TokenizerMode.char_chunks(2)):
+        for unit in ("subword", "word"):
+            mode = GranularityMode("char", unit)
+            dictionary = induce(loaded, mode, U, min_count=1, tokenizer=tokenizer)
+            counts, _ = oracle_upper_bound(loaded, dictionary, tokenizer)
+            assert counts.f_half == 1.0
 
 
 # --- analysis sweep -----------------------------------------------------------

@@ -1,9 +1,8 @@
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gecxform.transform as transform_module
 from corpusgen import corrupted_corpus, uncased_noise_config
 from gecxform.corpus import SentencePair
 from gecxform.editscript import (
@@ -133,7 +132,7 @@ def test_word_tokenizer_makes_unit_kinds_agree():
 
 def test_encode_worked_example():
     dictionary = fig_dictionary()
-    labeled = encode(FIG_PAIR.source, FIG_PAIR.gold, dictionary, FIG_VOCAB, rng_seed=5)
+    labeled = encode(FIG_PAIR.source, FIG_PAIR.gold, dictionary, FIG_VOCAB)
     assert labeled.units == (" gathe", "rin", " lea", "fes")
     got = [dumps_line(dictionary.entries[l]) for l in labeled.labels]
     assert got == ["CHAR upc@s2", "CHAR ins@e1=g", "KEEP", "CHAR rep@s1=v"]
@@ -154,36 +153,49 @@ def test_encode_falls_back_to_uncorrectable():
     assert labeled.labels == (UNCORRECTABLE_ID,)
 
 
-def test_encode_random_search_finds_equivalent_entry():
-    # built transformation for "aa" -> "a" is del@s1, but only del@e1 is
+def test_encode_fallback_finds_equivalent_entry():
+    # built transformation for "aa" -> "a" is del@s2, but only del@e1 is
     # present; the fallback scan must accept it because outputs agree
     entry = CharTransformation(base_edits=(CharEdit("del", "e", 1),))
     dictionary = TransformationDictionary(
         CHAR_SUB, CasingMode.CASED, 1,
         (DictEntry(0, 0, UNCORRECTABLE), DictEntry(1, 0, KEEP), DictEntry(2, 1, entry)),
     )
-    labeled = encode("aa", "a", dictionary, TokenizerMode.word(), rng_seed=1)
+    labeled = encode("aa", "a", dictionary, TokenizerMode.word())
     assert labeled.labels == (2,)
 
 
-def test_encode_empty_span_in_string_grain_skips_the_scan():
-    # no string rule yields an empty unit, so the seeded scan is not started
+def test_encode_fallback_takes_the_lowest_matching_id():
+    # the built del@s2 is absent and both entries rewrite " aa" into " a"
+    deletions = [CharTransformation(base_edits=(CharEdit("del", "e", k),)) for k in (1, 2)]
+    dictionary = TransformationDictionary(
+        CHAR_SUB, U, 1,
+        (DictEntry(0, 0, UNCORRECTABLE), DictEntry(1, 0, KEEP),
+         DictEntry(2, 1, deletions[0]), DictEntry(3, 1, deletions[1])),
+    )
+    assert _encode_unit(" aa", " a", dictionary) == 2
+
+
+def test_encode_empty_span_in_string_grain_skips_the_scan(monkeypatch):
+    # no string rule yields an empty unit, so the scan is not started
     dictionary = TransformationDictionary(
         STRING_WORD, U, 1,
         (DictEntry(0, 0, UNCORRECTABLE), DictEntry(1, 0, KEEP),
          DictEntry(2, 1, StringTransformation("append", "s")),
          DictEntry(3, 1, StringTransformation("replace", " a"))),
     )
-    rng = random.Random(4)
-    state = rng.getstate()
-    assert _encode_unit(" kocka", "", dictionary, rng) == UNCORRECTABLE_ID
-    assert rng.getstate() == state
+
+    def no_scan(transformation, unit):
+        raise AssertionError("fallback scan started")
+
+    monkeypatch.setattr(transform_module, "apply_transformation", no_scan)
+    assert _encode_unit(" kocka", "", dictionary) == UNCORRECTABLE_ID
 
 
-def test_encode_deterministic_given_seed():
+def test_encode_is_deterministic():
     dictionary = fig_dictionary()
-    a = encode(FIG_PAIR.source, FIG_PAIR.gold, dictionary, FIG_VOCAB, rng_seed=99)
-    b = encode(FIG_PAIR.source, FIG_PAIR.gold, dictionary, FIG_VOCAB, rng_seed=99)
+    a = encode(FIG_PAIR.source, FIG_PAIR.gold, dictionary, FIG_VOCAB)
+    b = encode(FIG_PAIR.source, FIG_PAIR.gold, dictionary, FIG_VOCAB)
     assert a == b
 
 
@@ -229,9 +241,7 @@ def test_encode_apply_round_trip_all_modes():
                 pairs, mode, casing, min_count=1, tokenizer=TokenizerMode.char_chunks(3)
             )
             for pair in pairs:
-                labeled = encode(
-                    pair.source, pair.gold, dictionary, TokenizerMode.char_chunks(3), rng_seed=7
-                )
+                labeled = encode(pair.source, pair.gold, dictionary, TokenizerMode.char_chunks(3))
                 if UNCORRECTABLE_ID in labeled.labels:
                     continue
                 assert apply_labels(labeled, dictionary) == pair.gold
@@ -251,7 +261,7 @@ def test_labelled_units_decode_to_their_gold_spans(mode, casing, tokenizer, seed
     dictionary = induce(train, mode, casing, min_count=1, tokenizer=tokenizer)
     for pair in train + held_out:
         units, spans = unit_pairs(pair.source, pair.gold, mode, casing, tokenizer)
-        labeled = encode(pair.source, pair.gold, dictionary, tokenizer, rng_seed=seed)
+        labeled = encode(pair.source, pair.gold, dictionary, tokenizer)
         assert labeled.units == tuple(units)
         for unit, span, label in zip(units, spans, labeled.labels):
             if label != UNCORRECTABLE_ID:
