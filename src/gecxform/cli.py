@@ -270,9 +270,8 @@ def cmd_corrupt(args: argparse.Namespace) -> int:
         from dataclasses import replace
 
         config = replace(config, seed=args.seed)
-    golds = [
-        line for line in Path(args.input).read_text(encoding="utf-8").splitlines() if line.strip()
-    ]
+    text = Path(args.input).read_text(encoding="utf-8")
+    golds = [line for line in split_lines(text) if line.strip()]
     pairs = corrupt_corpus(golds, config)
     out = Path(args.out)
     out.write_text(serialize_tsv(pairs), encoding="utf-8")

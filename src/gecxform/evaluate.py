@@ -7,14 +7,18 @@ annotated span that the minimal script cuts differently never matches, so a
 hypothesis equal to the gold can score 0 (see :func:`score`).
 
 Oracle upper bounds correct each pair over several rounds, tokenizing and
-aligning the text of every round against the gold. One memo, keyed by
-``(text, gold, unit kind)``, holds that work, so a sweep over many
-dictionaries and iteration counts aligns each distinct text once.
+aligning the text of every round against the gold. An :class:`OracleMemo`
+holds the work that does not depend on the dictionary: alignments keyed by
+the DP's input ``(tuple(subwords), gold)``, transformations keyed by ``(unit,
+span, grain)`` and extracted edits keyed by ``(source, text)``. One memo
+lives for one :func:`analyze` call, so its sweep over many dictionaries and
+iteration counts aligns each subword sequence, builds each rule and extracts
+each edit set once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from .corpus import SentencePair
@@ -26,6 +30,8 @@ from .editscript import apply_transformation
 from .tokenizer import tokenize
 from .transform import (
     ALL_MODES,
+    AlignmentMemo,
+    BuildMemo,
     GranularityMode,
     TransformationDictionary,
     _encode_unit,
@@ -38,6 +44,9 @@ from .transform import (
 ANALYSIS_HEADER = "mode\tcasing\tmin_count\titerations\tdict_size\tprecision\trecall\tf0.5"
 
 EditTuple = tuple[int, int, str]
+
+# Edit memo: ``(source, text)`` maps to extract_edits over their tokens.
+EditMemo = dict[tuple[str, str], list[EditTuple]]
 
 
 def _precision_recall(tp: int, fp: int, fn: int) -> tuple[float, float]:
@@ -90,11 +99,23 @@ def extract_edits(source_tokens: list[str], hypothesis_tokens: list[str]) -> lis
     return spans
 
 
+def _text_edits(source: str, text: str, edits: EditMemo | None) -> list[EditTuple]:
+    """extract_edits over the tokens of ``source`` and ``text``, memoized in ``edits``."""
+    if edits is None:
+        return extract_edits(source.split(), text.split())
+    key = (source, text)
+    if key not in edits:
+        edits[key] = extract_edits(source.split(), text.split())
+    return edits[key]
+
+
 def _normalize_correction(text: str) -> str:
     return " ".join(text.split())
 
 
-def pair_gold_edits(pair: SentencePair, annotator: int = 0) -> list[EditTuple]:
+def pair_gold_edits(
+    pair: SentencePair, annotator: int = 0, edits: EditMemo | None = None
+) -> list[EditTuple]:
     """Gold edits of a pair: annotated spans when present, else derived from the texts."""
     if pair.gold_edits:
         return [
@@ -102,20 +123,23 @@ def pair_gold_edits(pair: SentencePair, annotator: int = 0) -> list[EditTuple]:
             for e in pair.gold_edits
             if e.annotator == annotator
         ]
-    return extract_edits(pair.source.split(), pair.gold.split())
+    return _text_edits(pair.source, pair.gold, edits)
 
 
-def score(items: Iterable[tuple[str, str, list[EditTuple]]]) -> EvalCounts:
+def score(
+    items: Iterable[tuple[str, str, list[EditTuple]]], edits: EditMemo | None = None
+) -> EvalCounts:
     """Micro-averaged counts over (source, hypothesis, gold_edits) triples.
 
     Hypothesis edits come from the minimal token edit script and must equal a
     gold edit exactly. Annotated M2 spans that the script cuts differently
     never match: ``He go to school yesterday .`` with the annotation
     ``1 3 -> went to`` scores tp=0, fp=1, fn=1 for the gold sentence itself.
+    ``edits`` memoizes the hypothesis edits by ``(source, hypothesis)``.
     """
     tp = fp = fn = 0
     for source, hypothesis, gold_edits in items:
-        hyp = set(extract_edits(source.split(), hypothesis.split()))
+        hyp = set(_text_edits(source, hypothesis, edits))
         gold = {(a, b, _normalize_correction(c)) for a, b, c in gold_edits}
         tp += len(hyp & gold)
         fp += len(hyp - gold)
@@ -141,10 +165,19 @@ class OracleAnalysisRow:
     f_half: float
 
 
-# Alignment memo of the oracle rounds: (text, gold, unit kind) maps to the
-# (units, spans) lists that gecxform.transform.unit_pairs returns, or to None
-# when the pair cannot be tokenized or aligned.
-AlignmentMemo = dict[tuple[str, str, str], tuple[list[str], list[str]] | None]
+@dataclass
+class OracleMemo:
+    """The dictionary-independent work of oracle runs, shared between them.
+
+    ``alignments`` (see :func:`gecxform.transform.unit_pairs`), ``builds``
+    (see :func:`gecxform.transform.counts_from_unit_data`) and ``edits`` (see
+    :func:`score`) grow as the runs need them. Builds are keyed without the
+    casing, so every run sharing a memo must use one casing.
+    """
+
+    alignments: AlignmentMemo = field(default_factory=dict)
+    builds: BuildMemo = field(default_factory=dict)
+    edits: EditMemo = field(default_factory=dict)
 
 
 def _upper_bound_outputs(
@@ -152,33 +185,28 @@ def _upper_bound_outputs(
     dictionary: TransformationDictionary,
     tokenizer: TokenizerMode,
     iterations: int,
-    alignments: AlignmentMemo,
+    memo: OracleMemo,
 ) -> list[str]:
     # A label other than uncorrectable rewrites its unit into its span (a lookup
     # hit was built to, a fallback hit tested to).
     outputs_of: dict[tuple[str, str], str] = {}
-    unit_kind = dictionary.mode.unit
     outputs = []
     for pair in pairs:
         current = pair.source
         for _ in range(iterations):
             if current == pair.gold:
                 break  # gold reached: a further round would keep every unit
-            key = (current, pair.gold, unit_kind)
-            if key not in alignments:
-                try:
-                    alignments[key] = unit_pairs(
-                        current, pair.gold, dictionary.mode, dictionary.casing, tokenizer
-                    )
-                except ValueError:
-                    alignments[key] = None
-            cached = alignments[key]
-            if cached is None:
+            try:
+                units, spans = unit_pairs(
+                    current, pair.gold, dictionary.mode, dictionary.casing, tokenizer,
+                    memo.alignments,
+                )
+            except ValueError:
                 break  # pair cannot be aligned; leave it as it stands
             corrected = []
-            for unit, span in zip(*cached):
+            for unit, span in zip(units, spans):
                 if (unit, span) not in outputs_of:
-                    label = _encode_unit(unit, span, dictionary)
+                    label = _encode_unit(unit, span, dictionary, memo.builds)
                     outputs_of[unit, span] = span if label else unit
                 corrected.append(outputs_of[unit, span])
             out = detokenize(corrected)
@@ -195,24 +223,26 @@ def oracle_upper_bound(
     tokenizer: TokenizerMode = TokenizerMode.word(),
     iterations: int = 1,
     annotator: int = 0,
-    alignments: AlignmentMemo | None = None,
+    memo: OracleMemo | None = None,
 ) -> tuple[EvalCounts, OracleAnalysisRow]:
     """Score the corpus as if every encoded label were predicted perfectly.
 
-    Each round re-tokenizes and re-aligns the text the previous round
-    produced. ``alignments`` memoizes that work by ``(text, gold, unit
-    kind)``: a miss calls :func:`gecxform.transform.unit_pairs` and stores
-    its result, or None when the pair cannot be aligned. Passing one dict to
-    several calls shares the work between dictionaries; every call must then
-    use the same tokenizer and casing. Without it, a fresh memo serves this
+    Each round re-tokenizes the text the previous round produced and aligns
+    it to the gold; a round whose subwords were aligned before reuses their
+    spans. ``memo`` holds that work, the built transformations and the
+    extracted edits. Passing one memo to several calls shares the work
+    between dictionaries of one casing; without it, a fresh memo serves this
     call alone.
     """
-    if alignments is None:
-        alignments = {}
-    outputs = _upper_bound_outputs(pairs, dictionary, tokenizer, iterations, alignments)
+    if memo is None:
+        memo = OracleMemo()
+    outputs = _upper_bound_outputs(pairs, dictionary, tokenizer, iterations, memo)
     counts = score(
-        (pair.source, out, pair_gold_edits(pair, annotator))
-        for pair, out in zip(pairs, outputs)
+        (
+            (pair.source, out, pair_gold_edits(pair, annotator, memo.edits))
+            for pair, out in zip(pairs, outputs)
+        ),
+        memo.edits,
     )
     row = OracleAnalysisRow(
         mode=dictionary.mode,
@@ -238,21 +268,23 @@ def analyze(
     """Upper-bound sweep over every granularity, threshold and iteration setting.
 
     Every pair is tokenized and aligned once; the counting pass and all
-    configurations reuse that work. Later rounds share one memo too, so each
-    distinct ``(text, gold, unit kind)`` is aligned at most once per call.
-    Under the word tokenizer every word is exactly one subword in every
-    round, so only the ``*-at-subword`` configurations are evaluated and each
-    ``*-at-word`` row is a copy with its mode replaced.
+    configurations reuse that work through one :class:`OracleMemo`, which
+    lives for this call. Each ``(subwords, gold)`` is thus aligned, each
+    ``(unit, span, grain)`` built and each ``(source, text)`` edit set
+    extracted at most once per call. Under the word tokenizer every word is
+    exactly one subword in every round, so only the ``*-at-subword``
+    configurations are evaluated and each ``*-at-word`` row is a copy with
+    its mode replaced.
     """
     word_is_subword = tokenizer.kind == "word"
     modes = [m for m in ALL_MODES if not (word_is_subword and m.unit == "word")]
     unit_data = corpus_unit_data(pairs, casing, tokenizer)
-    counters = counts_from_unit_data(unit_data, modes, casing)
-    alignments = {
-        (pair.source, pair.gold, kind): None if per_pair is None else per_pair[kind]
-        for pair, (per_pair, _) in zip(pairs, unit_data)
-        for kind in ("subword", "word")
-    }
+    memo = OracleMemo()
+    counters = counts_from_unit_data(unit_data, modes, casing, memo.builds)
+    for pair, (per_pair, _) in zip(pairs, unit_data):
+        if per_pair is not None:
+            subwords, spans = per_pair["subword"]
+            memo.alignments[tuple(subwords), pair.gold] = spans
     rows = []
     for mode in ALL_MODES:
         if mode not in modes:
@@ -263,7 +295,7 @@ def analyze(
             dictionary = dictionary_from_counts(counters[mode], mode, casing, min_count)
             for iterations in iteration_counts:
                 _, row = oracle_upper_bound(
-                    pairs, dictionary, tokenizer, iterations, annotator, alignments
+                    pairs, dictionary, tokenizer, iterations, annotator, memo
                 )
                 rows.append(row)
     return rows

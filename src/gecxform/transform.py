@@ -128,12 +128,36 @@ class LabeledSentence:
             raise ValueError("units and labels must have equal length")
 
 
+# Alignment memo: the DP's input, ``(tuple(subwords), gold)``, maps to the gold
+# span texts of the subwords, or to None when the pair cannot be aligned.
+AlignmentMemo = dict[tuple[tuple[str, ...], str], list[str] | None]
+
+# Build memo: ``(unit, span, grain)`` maps to build_unit_transformation's
+# result. The key omits the casing, so one memo serves one casing.
+BuildMemo = dict[tuple[str, str, str], Transformation | None]
+
+
 def _units_by_kind(
-    source: str, gold: str, casing: CasingMode, tokenizer: TokenizerMode
+    source: str,
+    gold: str,
+    casing: CasingMode,
+    tokenizer: TokenizerMode,
+    alignments: AlignmentMemo | None = None,
 ) -> dict[str, tuple[list[str], list[str]]]:
     """Tokenize and align once; the (units, spans) lists of each unit kind."""
     subwords = tokenize(source, tokenizer, casing)
-    spans = align(subwords, gold).span_texts
+    if alignments is None:
+        alignments = {}
+    key = (tuple(subwords), gold)
+    if key not in alignments:
+        try:
+            alignments[key] = align(subwords, gold).span_texts
+        except ValueError:
+            alignments[key] = None
+            raise
+    spans = alignments[key]
+    if spans is None:
+        raise ValueError(f"cannot align {subwords!r} to {gold!r}")
     words = group_words(subwords)
     word_spans = ["".join(spans[a:b]) for _, (a, b) in words]
     return {"subword": (subwords, spans), "word": ([w for w, _ in words], word_spans)}
@@ -145,9 +169,14 @@ def unit_pairs(
     mode: GranularityMode,
     casing: CasingMode,
     tokenizer: TokenizerMode,
+    alignments: AlignmentMemo | None = None,
 ) -> tuple[list[str], list[str]]:
-    """Tokenize, align, and cut one gold span per unit of the requested mode."""
-    return _units_by_kind(source, gold, casing, tokenizer)[mode.unit]
+    """Tokenize, align, and cut one gold span per unit of the requested mode.
+
+    ``alignments`` memoizes the alignment by its input: a source that
+    tokenizes to subwords already aligned to ``gold`` reuses their spans.
+    """
+    return _units_by_kind(source, gold, casing, tokenizer, alignments)[mode.unit]
 
 
 def build_unit_transformation(
@@ -187,18 +216,38 @@ def corpus_unit_data(pairs, casing: CasingMode, tokenizer: TokenizerMode):
     return map_ordered(worker, list(pairs))
 
 
-def counts_from_unit_data(data, modes, casing: CasingMode) -> dict[GranularityMode, Counter]:
-    counters = {mode: Counter() for mode in modes}
+def _built(
+    unit: str, span: str, grain: str, casing: CasingMode, builds: BuildMemo | None
+) -> Transformation | None:
+    """build_unit_transformation, memoized in ``builds`` when one is given."""
+    if builds is None:
+        return build_unit_transformation(unit, span, grain, casing)
+    key = (unit, span, grain)
+    if key not in builds:
+        builds[key] = build_unit_transformation(unit, span, grain, casing)
+    return builds[key]
+
+
+def counts_from_unit_data(
+    data, modes, casing: CasingMode, builds: BuildMemo | None = None
+) -> dict[GranularityMode, Counter]:
+    """Count each mode's transformation over the units of ``corpus_unit_data``.
+
+    Each distinct (unit, span) is built once per mode; ``builds`` memoizes
+    the builds for later encodings of the same casing.
+    """
+    occurrences = {mode.unit: Counter() for mode in modes}
     for per_pair, problem in data:
         if per_pair is None:
             log.warning("skipping pair: %s", problem)
             continue
-        for mode in modes:
-            units, spans = per_pair[mode.unit]
-            counter = counters[mode]
-            for unit, span in zip(units, spans):
-                t = build_unit_transformation(unit, span, mode.grain, casing)
-                counter[UNCORRECTABLE if t is None else t] += 1
+        for kind, counter in occurrences.items():
+            counter.update(zip(*per_pair[kind]))
+    counters = {mode: Counter() for mode in modes}
+    for mode, counter in counters.items():
+        for (unit, span), n in occurrences[mode.unit].items():
+            t = _built(unit, span, mode.grain, casing, builds)
+            counter[UNCORRECTABLE if t is None else t] += n
     return counters
 
 
@@ -254,14 +303,14 @@ def induce(
     return dictionary_from_counts(counts, mode, casing, min_count)
 
 
-def _encode_unit(unit: str, span: str, dictionary: TransformationDictionary) -> int:
+def _encode_unit(
+    unit: str, span: str, dictionary: TransformationDictionary, builds: BuildMemo | None = None
+) -> int:
     if span == "" and dictionary.mode.grain == "string":
         # string rules carry non-empty payloads and units are never empty,
         # so no entry can rewrite a unit into nothing
         return UNCORRECTABLE_ID
-    built = build_unit_transformation(
-        unit, span, dictionary.mode.grain, dictionary.casing
-    )
+    built = _built(unit, span, dictionary.mode.grain, dictionary.casing, builds)
     if built is not None:
         ident = dictionary.lookup(built)
         if ident is not None:

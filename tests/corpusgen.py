@@ -40,6 +40,12 @@ def gold_corpus(n: int, seed: int, **kwargs) -> list[str]:
     return [random_gold_sentence(rng, **kwargs) for _ in range(n)]
 
 
+def corpusgen_vocab() -> set[str]:
+    """Every syllable and suffix, inner, word-initial and capitalized word-initial."""
+    bodies = [o + v for o in ONSETS for v in VOWELS] + SUFFIXES
+    return {p for b in bodies for p in (b, " " + b, " " + b.capitalize())}
+
+
 def corrupted_corpus(n: int, seed: int, config: CorruptionConfig) -> list[SentencePair]:
     return corrupt_corpus(gold_corpus(n, seed), config)
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpusgen import ONSETS, SUFFIXES, VOWELS, gold_corpus, uncased_noise_config
+from corpusgen import corpusgen_vocab, gold_corpus, uncased_noise_config
 from gecxform.corpus import corrupt_corpus
 from gecxform.align import (
     _NEG,
@@ -456,17 +456,12 @@ def test_align_matches_reference_kernel_after_unbounded_retry(instance):
     assert_same_as_reference(subwords, gold)
 
 
-def _corpusgen_vocab():
-    bodies = [o + v for o in ONSETS for v in VOWELS] + SUFFIXES
-    return {p for b in bodies for p in (b, " " + b, " " + b.capitalize())}
-
-
 @pytest.mark.parametrize("casing", [CasingMode.CASED, CasingMode.UNCASED])
 @pytest.mark.parametrize(
     "tokenizer",
     [
         TokenizerMode.word(),
-        TokenizerMode.vocab_greedy(_corpusgen_vocab()),
+        TokenizerMode.vocab_greedy(corpusgen_vocab()),
         TokenizerMode.char_chunks(1),
         TokenizerMode.char_chunks(2),
     ],

@@ -335,6 +335,18 @@ def test_evaluate_splits_hypothesis_lines_as_the_corpus(tmp_path, capsys, brk):
     assert capsys.readouterr().out.split("\n")[1].split("\t")[:3] == ["1", "0", "0"]
 
 
+def test_corrupt_splits_gold_lines_as_the_corpus(tmp_path, capsys):
+    # "\x0c" inside a sentence is no line break, as for every other reader
+    golds = tmp_path / "gold.txt"
+    golds.write_text("a\x0cb c\nd e\n", encoding="utf-8")
+    out = tmp_path / "pairs.tsv"
+    assert run("corrupt", golds, "--seed", "1", "--out", out) == 0
+    assert "corrupted 2 sentences" in capsys.readouterr().out
+    assert [line.split("\t")[1] for line in out.read_text(encoding="utf-8").split("\n")[:-1]] == [
+        "a\x0cb c", "d e"
+    ]
+
+
 def test_corrupt_deterministic_and_analyze_grid(tmp_path):
     golds = tmp_path / "gold.txt"
     golds.write_text(

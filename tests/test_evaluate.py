@@ -8,12 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gecxform.evaluate as evaluate_module
-from corpusgen import corrupted_corpus, suffix_error_pairs, uncased_noise_config
+import gecxform.transform as transform_module
+from corpusgen import (
+    cased_noise_config,
+    corpusgen_vocab,
+    corrupted_corpus,
+    suffix_error_pairs,
+    uncased_noise_config,
+)
 from gecxform.corpus import SentencePair, corrupt_corpus, load_corpus, serialize_tsv
 from gecxform.editscript import KEEP, UNCORRECTABLE
 from gecxform.evaluate import (
     ANALYSIS_HEADER,
     EvalCounts,
+    OracleMemo,
     analyze,
     extract_edits,
     f_beta,
@@ -23,7 +31,7 @@ from gecxform.evaluate import (
     score,
 )
 from gecxform.textnorm import CasingMode, fold
-from gecxform.tokenizer import TokenizerMode
+from gecxform.tokenizer import TokenizerMode, tokenize
 from gecxform.transform import (
     ALL_MODES,
     GranularityMode,
@@ -222,37 +230,82 @@ def test_analyze_row_grid_and_monotonicity():
             assert f1 + 1e-12 >= f2 >= f3 - 1e-12
 
 
-@pytest.mark.parametrize("tokenizer", [TokenizerMode.word(), TokenizerMode.char_chunks(2)],
-                         ids=["word", "chars2"])
-def test_analyze_aligns_each_text_once_and_matches_independent_runs(monkeypatch, tokenizer):
-    pairs = corrupted_corpus(8, 3, uncased_noise_config(3))
+def count_calls(monkeypatch, module, name, key):
+    """Patch ``module.name`` to count its calls by ``key(*args)``."""
+    calls = Counter()
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls[key(*args)] += 1
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "tokenizer,casing",
+    [
+        (tokenizer, casing)
+        for casing in (U, CasingMode.CASED)
+        for tokenizer in (
+            TokenizerMode.word(),
+            TokenizerMode.char_chunks(2),
+            TokenizerMode.vocab_greedy(corpusgen_vocab()),
+        )
+    ],
+    ids=["word", "chars2", "vocab", "word-cased", "chars2-cased", "vocab-cased"],
+)
+def test_analyze_aligns_each_text_once_and_matches_independent_runs(
+    monkeypatch, tokenizer, casing
+):
+    # suffix rules recur enough to pass min_count 3, so round 1 fixes suffixes
+    # beside rarer noise and round 2 tokenizes new subwords
+    noise = uncased_noise_config(3) if casing is U else cased_noise_config(3)
+    pairs = suffix_error_pairs(4, 3) + corrupted_corpus(8, 3, noise)
     min_counts, iteration_counts = (1, 2, 3), (1, 4)
     reference = []
     for mode in ALL_MODES:
         for min_count in min_counts:
-            dictionary = induce(pairs, mode, U, min_count, tokenizer=tokenizer)
+            dictionary = induce(pairs, mode, casing, min_count, tokenizer=tokenizer)
             for iterations in iteration_counts:
                 _, row = oracle_upper_bound(pairs, dictionary, tokenizer, iterations)
                 reference.append(row)
 
-    calls = Counter()
-    original = evaluate_module.unit_pairs
-
-    def counting(text, gold, mode, casing, tok):
-        calls[(text, gold, mode.unit)] += 1
-        return original(text, gold, mode, casing, tok)
-
-    monkeypatch.setattr(evaluate_module, "unit_pairs", counting)
-    rows = analyze(pairs, U, tokenizer, min_counts, iteration_counts)
+    aligned = count_calls(
+        monkeypatch, transform_module, "align", lambda subwords, gold: (tuple(subwords), gold)
+    )
+    built = count_calls(
+        monkeypatch, transform_module, "build_unit_transformation",
+        lambda unit, span, grain, _casing: (unit, span, grain),
+    )
+    rows = analyze(pairs, casing, tokenizer, min_counts, iteration_counts)
 
     assert rows == reference
-    assert calls, "no pair reached a second round; the corpus exercises nothing"
-    assert max(calls.values()) == 1
-    word_calls = [key for key in calls if key[2] == "word"]
-    if tokenizer.kind == "word":
-        assert not word_calls
-    else:
-        assert word_calls
+    assert max(aligned.values()) == 1
+    assert max(built.values()) == 1
+    first_pass = {(tuple(tokenize(p.source, tokenizer, casing)), p.gold) for p in pairs}
+    assert set(aligned) > first_pass, "no later round has new subwords"
+
+
+@pytest.mark.parametrize("tokenizer", [TokenizerMode.word(), TokenizerMode.char_chunks(2)],
+                         ids=["word", "chars2"])
+def test_analyze_aligns_once_per_pair_when_later_rounds_only_fold(monkeypatch, tokenizer):
+    # every correction but capitalization occurs once, so at min_count 1 round 1
+    # reaches the gold, and at 2 and 3 a later round's text differs from the
+    # source only in case and diacritics: it tokenizes to round 1's subwords
+    pairs = [
+        SentencePair("Praha je velka", "Praha je velká"),
+        SentencePair("Kocka leze po strese", "Kočka leze po střeše"),
+        SentencePair("Jana ma psa", "Jana má psa"),
+    ]
+    aligned = count_calls(monkeypatch, transform_module, "align", lambda *args: None)
+    requested = count_calls(
+        monkeypatch, evaluate_module, "unit_pairs", lambda text, *_: text
+    )
+    analyze(pairs, U, tokenizer, iteration_counts=(1, 4))
+    assert {fold(p.source, U) for p in pairs} <= set(requested)
+    assert aligned[None] == len(pairs)
 
 
 def test_corpus_unit_data_parallel_equals_serial(monkeypatch):
@@ -275,9 +328,8 @@ def test_unalignable_pairs_are_skipped(caplog):
     skipped = [r for r in caplog.records if "skipping pair" in r.getMessage()]
     assert len(skipped) == len(bad)
 
-    alignments = {}
-    counts, _ = oracle_upper_bound(pairs, dictionary, CHUNKS, iterations=2,
-                                   alignments=alignments)
+    memo = OracleMemo()
+    counts, _ = oracle_upper_bound(pairs, dictionary, CHUNKS, iterations=2, memo=memo)
     good_counts, _ = oracle_upper_bound(good, dictionary, CHUNKS, iterations=2)
     # a bad pair stays its source: no proposed edit, every gold edit missed
     as_source = score((p.source, p.source, pair_gold_edits(p)) for p in bad)
@@ -285,7 +337,10 @@ def test_unalignable_pairs_are_skipped(caplog):
     assert (counts.tp, counts.fp, counts.fn) == (
         good_counts.tp, good_counts.fp, good_counts.fn + as_source.fn
     )
-    assert all(alignments[p.source, p.gold, "subword"] is None for p in bad)
+    # "" does not tokenize, so only the blank gold reaches the alignment memo
+    assert [(k, v) for k, v in memo.alignments.items() if v is None] == [
+        ((tuple(tokenize("kocka leze", CHUNKS, U)), "   "), None)
+    ]
 
 
 def test_rows_to_tsv_format():
