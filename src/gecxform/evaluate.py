@@ -229,10 +229,11 @@ def oracle_upper_bound(
 
     Each round re-tokenizes the text the previous round produced and aligns
     it to the gold; a round whose subwords were aligned before reuses their
-    spans. ``memo`` holds that work, the built transformations and the
-    extracted edits. Passing one memo to several calls shares the work
-    between dictionaries of one casing; without it, a fresh memo serves this
-    call alone.
+    spans. ``memo`` holds that work keyed by ``(tuple(subwords), gold)``, the
+    built transformations keyed by ``(unit, span, grain)`` and the extracted
+    edits keyed by ``(source, text)``. Passing one memo to several calls
+    shares the work between dictionaries of one casing; without it, a fresh
+    memo serves this call alone.
     """
     if memo is None:
         memo = OracleMemo()

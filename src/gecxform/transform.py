@@ -129,7 +129,8 @@ class LabeledSentence:
 
 
 # Alignment memo: the DP's input, ``(tuple(subwords), gold)``, maps to the gold
-# span texts of the subwords, or to None when the pair cannot be aligned.
+# span texts of the subwords, or to None when the pair cannot be aligned. The
+# oracle keeps one per call (gecxform.evaluate.OracleMemo); no memo is global.
 AlignmentMemo = dict[tuple[tuple[str, ...], str], list[str] | None]
 
 # Build memo: ``(unit, span, grain)`` maps to build_unit_transformation's
