@@ -10,10 +10,10 @@ Oracle upper bounds correct each pair over several rounds, tokenizing and
 aligning the text of every round against the gold. An :class:`OracleMemo`
 holds the work that does not depend on the dictionary: alignments keyed by
 the DP's input ``(tuple(subwords), gold)``, transformations keyed by ``(unit,
-span, grain)`` and extracted edits keyed by ``(source, text)``. One memo
-lives for one :func:`analyze` call, so its sweep over many dictionaries and
-iteration counts aligns each subword sequence, builds each rule and extracts
-each edit set once.
+span, grain, casing)`` and extracted edits keyed by ``(source, text)``. One
+memo lives for one :func:`analyze` call, so its sweep over many dictionaries
+and iteration counts aligns each subword sequence, builds each rule and
+extracts each edit set once.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ from typing import Iterable
 from .corpus import SentencePair
 from .editscript import INSERT, REPLACE, minimal_edit_script
 from .textnorm import CasingMode
-from .tokenizer import TokenizerMode, detokenize
-# not called here: perfbench/tracing.py wraps these names
+from .tokenizer import TokenizerMode, detokenize, tokenize
+# not called here: perfbench/tracing.py wraps this name
 from .editscript import apply_transformation
-from .tokenizer import tokenize
 from .transform import (
     ALL_MODES,
     AlignmentMemo,
@@ -170,9 +169,8 @@ class OracleMemo:
     """The dictionary-independent work of oracle runs, shared between them.
 
     ``alignments`` (see :func:`gecxform.transform.unit_pairs`), ``builds``
-    (see :func:`gecxform.transform.counts_from_unit_data`) and ``edits`` (see
-    :func:`score`) grow as the runs need them. Builds are keyed without the
-    casing, so every run sharing a memo must use one casing.
+    (see :func:`gecxform.transform.build_unit_transformation`) and ``edits``
+    (see :func:`score`) grow as the runs need them.
     """
 
     alignments: AlignmentMemo = field(default_factory=dict)
@@ -230,10 +228,10 @@ def oracle_upper_bound(
     Each round re-tokenizes the text the previous round produced and aligns
     it to the gold; a round whose subwords were aligned before reuses their
     spans. ``memo`` holds that work keyed by ``(tuple(subwords), gold)``, the
-    built transformations keyed by ``(unit, span, grain)`` and the extracted
-    edits keyed by ``(source, text)``. Passing one memo to several calls
-    shares the work between dictionaries of one casing; without it, a fresh
-    memo serves this call alone.
+    built transformations keyed by ``(unit, span, grain, casing)`` and the
+    extracted edits keyed by ``(source, text)``. Passing one memo to several
+    calls shares the work between dictionaries; without it, a fresh memo
+    serves this call alone.
     """
     if memo is None:
         memo = OracleMemo()
@@ -272,10 +270,10 @@ def analyze(
     configurations reuse that work through one :class:`OracleMemo`, which
     lives for this call. Each ``(subwords, gold)`` is thus aligned, each
     ``(unit, span, grain)`` built and each ``(source, text)`` edit set
-    extracted at most once per call. Under the word tokenizer every word is
-    exactly one subword in every round, so only the ``*-at-subword``
-    configurations are evaluated and each ``*-at-word`` row is a copy with
-    its mode replaced.
+    extracted at most once per call, a pair that cannot be aligned included.
+    Under the word tokenizer every word is exactly one subword in every
+    round, so only the ``*-at-subword`` configurations are evaluated and each
+    ``*-at-word`` row is a copy with its mode replaced.
     """
     word_is_subword = tokenizer.kind == "word"
     modes = [m for m in ALL_MODES if not (word_is_subword and m.unit == "word")]
@@ -285,7 +283,12 @@ def analyze(
     for pair, (per_pair, _) in zip(pairs, unit_data):
         if per_pair is not None:
             subwords, spans = per_pair["subword"]
-            memo.alignments[tuple(subwords), pair.gold] = spans
+        else:  # tokenizing or aligning failed; only the alignment is memoized
+            try:
+                subwords, spans = tokenize(pair.source, tokenizer, casing), None
+            except ValueError:
+                continue
+        memo.alignments[tuple(subwords), pair.gold] = spans
     rows = []
     for mode in ALL_MODES:
         if mode not in modes:

@@ -133,9 +133,9 @@ class LabeledSentence:
 # oracle keeps one per call (gecxform.evaluate.OracleMemo); no memo is global.
 AlignmentMemo = dict[tuple[tuple[str, ...], str], list[str] | None]
 
-# Build memo: ``(unit, span, grain)`` maps to build_unit_transformation's
-# result. The key omits the casing, so one memo serves one casing.
-BuildMemo = dict[tuple[str, str, str], Transformation | None]
+# Build memo: ``(unit, span, grain, casing)`` maps to the result of
+# build_unit_transformation. The oracle keeps one per call, like alignments.
+BuildMemo = dict[tuple[str, str, str, CasingMode], Transformation | None]
 
 
 def _units_by_kind(
@@ -181,13 +181,24 @@ def unit_pairs(
 
 
 def build_unit_transformation(
-    unit: str, span: str, grain: str, casing: CasingMode
+    unit: str, span: str, grain: str, casing: CasingMode, builds: BuildMemo | None = None
 ) -> Transformation | None:
     """Transformation rewriting unit into span, or None when unreachable.
 
     Identity pairs canonicalize to KEEP in both grains so dictionaries share
-    one keep entry.
+    one keep entry. ``builds`` memoizes the result by all four arguments;
+    the memo is read here rather than by the callers, so every request, hit
+    or miss, is still a call of this function.
     """
+    if builds is None:
+        return _build_unit(unit, span, grain, casing)
+    key = (unit, span, grain, casing)
+    if key not in builds:
+        builds[key] = _build_unit(unit, span, grain, casing)
+    return builds[key]
+
+
+def _build_unit(unit: str, span: str, grain: str, casing: CasingMode) -> Transformation | None:
     if unit == span:
         return KEEP
     try:
@@ -217,25 +228,13 @@ def corpus_unit_data(pairs, casing: CasingMode, tokenizer: TokenizerMode):
     return map_ordered(worker, list(pairs))
 
 
-def _built(
-    unit: str, span: str, grain: str, casing: CasingMode, builds: BuildMemo | None
-) -> Transformation | None:
-    """build_unit_transformation, memoized in ``builds`` when one is given."""
-    if builds is None:
-        return build_unit_transformation(unit, span, grain, casing)
-    key = (unit, span, grain)
-    if key not in builds:
-        builds[key] = build_unit_transformation(unit, span, grain, casing)
-    return builds[key]
-
-
 def counts_from_unit_data(
     data, modes, casing: CasingMode, builds: BuildMemo | None = None
 ) -> dict[GranularityMode, Counter]:
     """Count each mode's transformation over the units of ``corpus_unit_data``.
 
-    Each distinct (unit, span) is built once per mode; ``builds`` memoizes
-    the builds for later encodings of the same casing.
+    Each distinct (unit, span) is built once per mode; ``builds`` keeps the
+    builds for later encodings.
     """
     occurrences = {mode.unit: Counter() for mode in modes}
     for per_pair, problem in data:
@@ -247,7 +246,7 @@ def counts_from_unit_data(
     counters = {mode: Counter() for mode in modes}
     for mode, counter in counters.items():
         for (unit, span), n in occurrences[mode.unit].items():
-            t = _built(unit, span, mode.grain, casing, builds)
+            t = build_unit_transformation(unit, span, mode.grain, casing, builds)
             counter[UNCORRECTABLE if t is None else t] += n
     return counters
 
@@ -311,7 +310,9 @@ def _encode_unit(
         # string rules carry non-empty payloads and units are never empty,
         # so no entry can rewrite a unit into nothing
         return UNCORRECTABLE_ID
-    built = _built(unit, span, dictionary.mode.grain, dictionary.casing, builds)
+    built = build_unit_transformation(
+        unit, span, dictionary.mode.grain, dictionary.casing, builds
+    )
     if built is not None:
         ident = dictionary.lookup(built)
         if ident is not None:

@@ -275,17 +275,31 @@ def test_analyze_aligns_each_text_once_and_matches_independent_runs(
     aligned = count_calls(
         monkeypatch, transform_module, "align", lambda subwords, gold: (tuple(subwords), gold)
     )
-    built = count_calls(
-        monkeypatch, transform_module, "build_unit_transformation",
-        lambda unit, span, grain, _casing: (unit, span, grain),
+    # the build memo sits inside build_unit_transformation, so count the
+    # builders it calls on a miss
+    char_built = count_calls(
+        monkeypatch, transform_module, "build_char_transformation",
+        lambda unit, span, _casing: (unit, span, "char"),
+    )
+    string_built = count_calls(
+        monkeypatch, transform_module, "build_string_transformation",
+        lambda unit, span: (unit, span, "string"),
+    )
+    requested = count_calls(
+        monkeypatch, evaluate_module, "unit_pairs", lambda _text, _gold, mode, *_: mode.unit
     )
     rows = analyze(pairs, casing, tokenizer, min_counts, iteration_counts)
 
     assert rows == reference
     assert max(aligned.values()) == 1
-    assert max(built.values()) == 1
+    assert max((char_built + string_built).values()) == 1
     first_pass = {(tuple(tokenize(p.source, tokenizer, casing)), p.gold) for p in pairs}
     assert set(aligned) > first_pass, "no later round has new subwords"
+    # the word tokenizer copies every *-at-word row from its *-at-subword twin
+    if tokenizer.kind == "word":
+        assert requested["word"] == 0 < requested["subword"]
+    else:
+        assert requested["word"] > 0
 
 
 @pytest.mark.parametrize("tokenizer", [TokenizerMode.word(), TokenizerMode.char_chunks(2)],
@@ -317,7 +331,7 @@ def test_corpus_unit_data_parallel_equals_serial(monkeypatch):
     assert all(per_pair is not None for per_pair, _ in serial)
 
 
-def test_unalignable_pairs_are_skipped(caplog):
+def test_unalignable_pairs_are_skipped(monkeypatch, caplog):
     good = corrupted_corpus(12, 5, uncased_noise_config(5))
     bad = [SentencePair("", "Nic tu není"), SentencePair("kocka leze", "   ")]
     pairs = good[:4] + bad[:1] + good[4:8] + bad[1:] + good[8:]
@@ -341,6 +355,14 @@ def test_unalignable_pairs_are_skipped(caplog):
     assert [(k, v) for k, v in memo.alignments.items() if v is None] == [
         ((tuple(tokenize("kocka leze", CHUNKS, U)), "   "), None)
     ]
+
+    # analyze remembers the failed alignment from its first pass
+    aligned = count_calls(
+        monkeypatch, transform_module, "align", lambda subwords, gold: (tuple(subwords), gold)
+    )
+    analyze(pairs, U, CHUNKS)
+    assert aligned[tuple(tokenize("kocka leze", CHUNKS, U)), "   "] == 1
+    assert max(aligned.values()) == 1
 
 
 def test_rows_to_tsv_format():
