@@ -15,6 +15,7 @@ import logging
 import sys
 import traceback
 import unicodedata
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -31,6 +32,7 @@ from .evaluate import analyze, pair_gold_edits, rows_to_tsv, score
 from .textnorm import CasingMode
 from .tokenizer import TokenizerMode, group_words, load_vocab, tokenize
 from .transform import (
+    ALL_MODES,
     UNCORRECTABLE_ID,
     GranularityMode,
     LabeledSentence,
@@ -47,7 +49,7 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 
-MODE_CHOICES = ["char-at-subword", "char-at-word", "string-at-subword", "string-at-word"]
+MODE_CHOICES = [mode.label for mode in ALL_MODES]
 
 
 def _int_at_least(minimum: int):
@@ -267,8 +269,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_corrupt(args: argparse.Namespace) -> int:
     config = load_corruption_config(args.config) if args.config else CorruptionConfig()
     if args.seed is not None:
-        from dataclasses import replace
-
         config = replace(config, seed=args.seed)
     text = Path(args.input).read_text(encoding="utf-8")
     golds = [line for line in split_lines(text) if line.strip()]
@@ -353,10 +353,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception:

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import FormatError
-from .textnorm import CasingMode, case_diff, strip_diacritics
+from .textnorm import CasingMode, case_diff, fold, strip_diacritics
 
 FROM_START = "s"
 FROM_END = "e"
@@ -158,12 +158,6 @@ def _anchor_gap(gap: int, length: int) -> tuple[str, int]:
     return FROM_END, length + 2 - gap
 
 
-def _fold_for_script(text: str, casing: CasingMode) -> str:
-    if casing is CasingMode.UNCASED:
-        return strip_diacritics(text).lower()
-    return text.lower()
-
-
 def build_char_transformation(
     unit: str, span: str, casing: CasingMode
 ) -> CharTransformation:
@@ -172,8 +166,8 @@ def build_char_transformation(
     Raises UnreachableSpanError when no program reaches the span, which
     happens when a unit character would have to be lowercased in place.
     """
-    src = _fold_for_script(unit, casing)
-    dst = _fold_for_script(span, casing)
+    src = fold(unit, casing).lower()
+    dst = fold(span, casing).lower()
     n = len(src)
     base = []
     for pos, kind, payload in minimal_edit_script(src, dst):

@@ -24,9 +24,10 @@ from typing import Iterable
 from .corpus import SentencePair
 from .editscript import INSERT, REPLACE, minimal_edit_script
 from .textnorm import CasingMode
-from .tokenizer import TokenizerMode, detokenize, tokenize
-# not called here: perfbench/tracing.py wraps this name
+from .tokenizer import TokenizerMode, detokenize
+# not called here: perfbench/tracing.py wraps these names
 from .editscript import apply_transformation
+from .tokenizer import tokenize
 from .transform import (
     ALL_MODES,
     AlignmentMemo,
@@ -277,18 +278,9 @@ def analyze(
     """
     word_is_subword = tokenizer.kind == "word"
     modes = [m for m in ALL_MODES if not (word_is_subword and m.unit == "word")]
-    unit_data = corpus_unit_data(pairs, casing, tokenizer)
     memo = OracleMemo()
+    unit_data = corpus_unit_data(pairs, casing, tokenizer, memo.alignments)
     counters = counts_from_unit_data(unit_data, modes, casing, memo.builds)
-    for pair, (per_pair, _) in zip(pairs, unit_data):
-        if per_pair is not None:
-            subwords, spans = per_pair["subword"]
-        else:  # tokenizing or aligning failed; only the alignment is memoized
-            try:
-                subwords, spans = tokenize(pair.source, tokenizer, casing), None
-            except ValueError:
-                continue
-        memo.alignments[tuple(subwords), pair.gold] = spans
     rows = []
     for mode in ALL_MODES:
         if mode not in modes:

@@ -1,7 +1,6 @@
 """Normalization primitives: lowercasing, diacritics stripping, punctuation folding.
 
-Everything in this module is a pure function over immutable values and is safe
-to call from multiple workers.
+Everything in this module is a pure function over immutable values.
 """
 
 from __future__ import annotations

@@ -15,10 +15,8 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 
-from ._parallel import map_ordered
 from .align import align
 from .corpus import split_lines
 from .editscript import (
@@ -209,23 +207,24 @@ def _build_unit(unit: str, span: str, grain: str, casing: CasingMode) -> Transfo
         return None
 
 
-def _pair_unit_data(pair, casing, tokenizer):
-    """Both unit kinds of one pair, or None with a diagnostic on failure."""
-    try:
-        return _units_by_kind(pair.source, pair.gold, casing, tokenizer), None
-    except ValueError as exc:
-        return None, f"{exc} (source={pair.source!r})"
-
-
-def corpus_unit_data(pairs, casing: CasingMode, tokenizer: TokenizerMode):
-    """Tokenize and align every pair once.
+def corpus_unit_data(
+    pairs, casing: CasingMode, tokenizer: TokenizerMode, alignments: AlignmentMemo
+):
+    """Tokenize and align every pair once, filling the ``alignments`` memo.
 
     Returns one ``(per_pair, problem)`` entry per pair, where ``per_pair``
     maps each unit kind to its (units, spans) lists, or is None with a
-    diagnostic when the pair cannot be processed.
+    diagnostic when the pair cannot be processed. A pair that tokenizes but
+    cannot be aligned is memoized as None, so later lookups skip the DP.
     """
-    worker = partial(_pair_unit_data, casing=casing, tokenizer=tokenizer)
-    return map_ordered(worker, list(pairs))
+    data = []
+    for pair in pairs:
+        try:
+            entry = _units_by_kind(pair.source, pair.gold, casing, tokenizer, alignments), None
+        except ValueError as exc:
+            entry = None, f"{exc} (source={pair.source!r})"
+        data.append(entry)
+    return data
 
 
 def counts_from_unit_data(
@@ -298,7 +297,7 @@ def induce(
     work = list(pairs) + list(synthetic_pairs)[:synthetic_limit]
     if not work:
         raise ValueError("induction requires at least one pair")
-    data = corpus_unit_data(work, casing, tokenizer)
+    data = corpus_unit_data(work, casing, tokenizer, {})
     counts = counts_from_unit_data(data, (mode,), casing)[mode]
     return dictionary_from_counts(counts, mode, casing, min_count)
 

@@ -37,7 +37,6 @@ from gecxform.transform import (
     GranularityMode,
     TransformationDictionary,
     DictEntry,
-    corpus_unit_data,
     dumps_dictionary,
     induce,
 )
@@ -322,13 +321,19 @@ def test_analyze_aligns_once_per_pair_when_later_rounds_only_fold(monkeypatch, t
     assert aligned[None] == len(pairs)
 
 
-def test_corpus_unit_data_parallel_equals_serial(monkeypatch):
+def test_induce_aligns_a_repeated_pair_once(monkeypatch):
     pairs = corrupted_corpus(10, 4, uncased_noise_config(4))
-    serial = corpus_unit_data(pairs, U, CHUNKS)
-    monkeypatch.setenv("GEC_XFORM_THREADS", "2")
-    parallel = corpus_unit_data(pairs, U, CHUNKS)
-    assert parallel == serial
-    assert all(per_pair is not None for per_pair, _ in serial)
+    single = induce(pairs, CHAR_SUB, U, tokenizer=CHUNKS)
+    aligned = count_calls(
+        monkeypatch, transform_module, "align", lambda subwords, gold: (tuple(subwords), gold)
+    )
+    doubled = induce(pairs + pairs, CHAR_SUB, U, tokenizer=CHUNKS)
+    assert set(aligned) == {(tuple(tokenize(p.source, CHUNKS, U)), p.gold) for p in pairs}
+    assert max(aligned.values()) == 1
+    assert single.size > 2
+    assert [(e.ident, 2 * e.count, e.transformation) for e in single.entries] == [
+        (e.ident, e.count, e.transformation) for e in doubled.entries
+    ]
 
 
 def test_unalignable_pairs_are_skipped(monkeypatch, caplog):
