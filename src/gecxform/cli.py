@@ -28,11 +28,14 @@ from .corpus import (
     split_lines,
 )
 from .errors import FormatError
-from .evaluate import analyze, pair_gold_edits, rows_to_tsv, score
+from .evaluate import (
+    DEFAULT_ITERATIONS, DEFAULT_MIN_COUNTS, analyze, pair_gold_edits, rows_to_tsv, score,
+)
 from .textnorm import CasingMode
 from .tokenizer import TokenizerMode, group_words, load_vocab, tokenize
 from .transform import (
     ALL_MODES,
+    DEFAULT_SYNTHETIC_LIMIT,
     UNCORRECTABLE_ID,
     GranularityMode,
     LabeledSentence,
@@ -296,9 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--casing", choices=["cased", "uncased"], default="uncased")
     p.add_argument("--min-count", type=_int_at_least(1), default=1, dest="min_count")
     p.add_argument("--synthetic", help="synthetic corpus file pooled into induction")
-    p.add_argument(
-        "--synthetic-limit", type=_int_at_least(0), default=1000, dest="synthetic_limit"
-    )
+    p.add_argument("--synthetic-limit", type=_int_at_least(0), default=DEFAULT_SYNTHETIC_LIMIT)
     p.add_argument("--annotator", type=_int_at_least(0), default=0)
     p.add_argument("--out", required=True)
     _add_tokenizer_flags(p)
@@ -329,10 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="oracle upper-bound sweep over all granularities")
     p.add_argument("corpus", nargs="+")
     p.add_argument("--casing", choices=["cased", "uncased"], default="uncased")
-    p.add_argument(
-        "--min-counts", type=_int_at_least(1), nargs="+", default=[1, 2, 3], dest="min_counts"
-    )
-    p.add_argument("--iterations", type=_int_at_least(1), nargs="+", default=[1, 4])
+    p.add_argument("--min-counts", type=_int_at_least(1), nargs="+", default=DEFAULT_MIN_COUNTS)
+    p.add_argument("--iterations", type=_int_at_least(1), nargs="+", default=DEFAULT_ITERATIONS)
     p.add_argument("--annotator", type=_int_at_least(0), default=0)
     p.add_argument("--out", required=True)
     _add_tokenizer_flags(p)

@@ -164,7 +164,10 @@ def build_char_transformation(
     """Construct the character program rewriting ``unit`` into ``span``.
 
     Raises UnreachableSpanError when no program reaches the span, which
-    happens when a unit character would have to be lowercased in place.
+    happens when a unit character would have to be lowercased in place. Cased
+    ``istanbul`` -> ``İstanbul`` is unreachable too: ``"i".upper()`` is ``I``,
+    and ``"İ".lower()`` is two code points, so the length check fails.
+    Uncased mode reaches it with an uppercase and a diacritic edit.
     """
     src = fold(unit, casing).lower()
     dst = fold(span, casing).lower()

@@ -13,7 +13,8 @@ the DP's input ``(tuple(subwords), gold)``, transformations keyed by ``(unit,
 span, grain, casing)`` and extracted edits keyed by ``(source, text)``. One
 memo lives for one :func:`analyze` call, so its sweep over many dictionaries
 and iteration counts aligns each subword sequence, builds each rule and
-extracts each edit set once.
+extracts each edit set once. Labels belong to the dictionary, which memoizes
+them, so all iteration counts of one dictionary label each unit once.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .transform import (
     BuildMemo,
     GranularityMode,
     TransformationDictionary,
-    _encode_unit,
     corpus_unit_data,
     counts_from_unit_data,
     dictionary_from_counts,
@@ -42,6 +42,8 @@ from .transform import (
 )
 
 ANALYSIS_HEADER = "mode\tcasing\tmin_count\titerations\tdict_size\tprecision\trecall\tf0.5"
+DEFAULT_MIN_COUNTS = (1, 2, 3)  # analyze's default sweep
+DEFAULT_ITERATIONS = (1, 4)
 
 EditTuple = tuple[int, int, str]
 
@@ -160,9 +162,7 @@ class OracleAnalysisRow:
     min_count: int
     iterations: int
     dictionary_size: int
-    precision: float
-    recall: float
-    f_half: float
+    counts: EvalCounts
 
 
 @dataclass
@@ -171,7 +171,8 @@ class OracleMemo:
 
     ``alignments`` (see :func:`gecxform.transform.unit_pairs`), ``builds``
     (see :func:`gecxform.transform.build_unit_transformation`) and ``edits``
-    (see :func:`score`) grow as the runs need them.
+    (see :func:`score`) grow as the runs need them. Labels depend on the
+    dictionary and are memoized by it, not here.
     """
 
     alignments: AlignmentMemo = field(default_factory=dict)
@@ -188,7 +189,6 @@ def _upper_bound_outputs(
 ) -> list[str]:
     # A label other than uncorrectable rewrites its unit into its span (a lookup
     # hit was built to, a fallback hit tested to).
-    outputs_of: dict[tuple[str, str], str] = {}
     outputs = []
     for pair in pairs:
         current = pair.source
@@ -202,13 +202,10 @@ def _upper_bound_outputs(
                 )
             except ValueError:
                 break  # pair cannot be aligned; leave it as it stands
-            corrected = []
-            for unit, span in zip(units, spans):
-                if (unit, span) not in outputs_of:
-                    label = _encode_unit(unit, span, dictionary, memo.builds)
-                    outputs_of[unit, span] = span if label else unit
-                corrected.append(outputs_of[unit, span])
-            out = detokenize(corrected)
+            out = detokenize([
+                span if dictionary.label(unit, span, memo.builds) else unit
+                for unit, span in zip(units, spans)
+            ])
             if out == current:
                 break
             current = out
@@ -223,7 +220,7 @@ def oracle_upper_bound(
     iterations: int = 1,
     annotator: int = 0,
     memo: OracleMemo | None = None,
-) -> tuple[EvalCounts, OracleAnalysisRow]:
+) -> OracleAnalysisRow:
     """Score the corpus as if every encoded label were predicted perfectly.
 
     Each round re-tokenizes the text the previous round produced and aligns
@@ -244,25 +241,22 @@ def oracle_upper_bound(
         ),
         memo.edits,
     )
-    row = OracleAnalysisRow(
+    return OracleAnalysisRow(
         mode=dictionary.mode,
         casing=dictionary.casing,
         min_count=dictionary.min_count,
         iterations=iterations,
         dictionary_size=dictionary.size,
-        precision=counts.precision,
-        recall=counts.recall,
-        f_half=counts.f_half,
+        counts=counts,
     )
-    return counts, row
 
 
 def analyze(
     pairs: list[SentencePair],
     casing: CasingMode,
     tokenizer: TokenizerMode = TokenizerMode.word(),
-    min_counts: tuple[int, ...] = (1, 2, 3),
-    iteration_counts: tuple[int, ...] = (1, 4),
+    min_counts: tuple[int, ...] = DEFAULT_MIN_COUNTS,
+    iteration_counts: tuple[int, ...] = DEFAULT_ITERATIONS,
     annotator: int = 0,
 ) -> list[OracleAnalysisRow]:
     """Upper-bound sweep over every granularity, threshold and iteration setting.
@@ -289,11 +283,10 @@ def analyze(
             continue
         for min_count in min_counts:
             dictionary = dictionary_from_counts(counters[mode], mode, casing, min_count)
-            for iterations in iteration_counts:
-                _, row = oracle_upper_bound(
-                    pairs, dictionary, tokenizer, iterations, annotator, memo
-                )
-                rows.append(row)
+            rows += [
+                oracle_upper_bound(pairs, dictionary, tokenizer, iterations, annotator, memo)
+                for iterations in iteration_counts
+            ]
     return rows
 
 
@@ -302,7 +295,7 @@ def rows_to_tsv(rows: list[OracleAnalysisRow]) -> str:
     for row in rows:
         lines.append(
             f"{row.mode.label}\t{row.casing.value}\t{row.min_count}\t{row.iterations}"
-            f"\t{row.dictionary_size}\t{row.precision:.4f}\t{row.recall:.4f}"
-            f"\t{row.f_half:.4f}"
+            f"\t{row.dictionary_size}\t{row.counts.precision:.4f}\t{row.counts.recall:.4f}"
+            f"\t{row.counts.f_half:.4f}"
         )
     return "\n".join(lines) + "\n"

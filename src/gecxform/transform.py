@@ -3,11 +3,10 @@
 A dictionary is induced per granularity (character or string programs, applied
 per subword or per word) by aligning every sentence pair, cutting the gold
 span of each unit, and counting the transformation that rewrites the unit into
-its span. Encoding looks the built transformation up by value; on a miss it
-takes the lowest-id entry that rewrites the unit into its span, else the
-uncorrectable label, so a label depends on the unit, span and dictionary alone.
-Decoding applies the labelled transformation per unit; uncorrectable and
-inapplicable labels leave the unit unchanged.
+its span. A unit's label belongs to the dictionary, which memoizes it: the
+built transformation's id, else the lowest-id entry that rewrites the unit into
+its span, else uncorrectable. Decoding applies the labelled transformation per
+unit; uncorrectable and inapplicable labels leave the unit unchanged.
 """
 
 from __future__ import annotations
@@ -22,6 +21,8 @@ from .corpus import split_lines
 from .editscript import (
     KEEP,
     UNCORRECTABLE,
+    CharTransformation,
+    StringTransformation,
     Transformation,
     UncorrectableMarker,
     UnreachableSpanError,
@@ -42,6 +43,9 @@ KEEP_ID = 1
 
 _GRAINS = ("char", "string")
 _UNITS = ("subword", "word")
+_GRAIN_RULES = {"char": CharTransformation, "string": StringTransformation}
+
+DEFAULT_SYNTHETIC_LIMIT = 1000  # synthetic pairs pooled into induction at most
 
 
 @dataclass(frozen=True)
@@ -88,6 +92,7 @@ class TransformationDictionary:
     min_count: int
     entries: tuple[DictEntry, ...]
     _by_value: dict = field(init=False, repr=False, compare=False)
+    _labels: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.entries) < 2:
@@ -102,6 +107,7 @@ class TransformationDictionary:
         self._by_value = {e.transformation: e.ident for e in self.entries}
         if len(self._by_value) != len(self.entries):
             raise ValueError("dictionary entries must be unique")
+        self._labels = {}
 
     @property
     def size(self) -> int:
@@ -114,6 +120,26 @@ class TransformationDictionary:
         if not 0 <= ident < len(self.entries):
             raise KeyError(f"label id {ident} not in dictionary")
         return self.entries[ident].transformation
+
+    def label(self, unit: str, span: str, builds: BuildMemo | None = None) -> int:
+        """Id of the entry encoding ``unit`` -> ``span``, memoized by the pair.
+
+        The built transformation's id if present, else the lowest id (the most
+        frequent rule) whose application yields the span, else uncorrectable.
+        ``builds`` is passed on to :func:`build_unit_transformation`.
+        """
+        key = (unit, span)
+        if key not in self._labels:
+            built = build_unit_transformation(unit, span, self.mode.grain, self.casing, builds)
+            ident = None if built is None else self.lookup(built)
+            if ident is None:
+                ident = next(
+                    (e.ident for e in self.entries[1:]
+                     if apply_transformation(e.transformation, unit) == span),
+                    UNCORRECTABLE_ID,
+                )
+            self._labels[key] = ident
+        return self._labels[key]
 
 
 @dataclass(frozen=True)
@@ -210,36 +236,32 @@ def _build_unit(unit: str, span: str, grain: str, casing: CasingMode) -> Transfo
 def corpus_unit_data(
     pairs, casing: CasingMode, tokenizer: TokenizerMode, alignments: AlignmentMemo
 ):
-    """Tokenize and align every pair once, filling the ``alignments`` memo.
+    """Tokenize and align each pair once, filling the ``alignments`` memo.
 
-    Returns one ``(per_pair, problem)`` entry per pair, where ``per_pair``
-    maps each unit kind to its (units, spans) lists, or is None with a
-    diagnostic when the pair cannot be processed. A pair that tokenizes but
-    cannot be aligned is memoized as None, so later lookups skip the DP.
+    Yields, pair by pair, a map from each unit kind to its (units, spans)
+    lists. A pair that cannot be processed is skipped with a diagnostic; one
+    that tokenizes but cannot be aligned is memoized as None, so later
+    lookups skip the DP.
     """
-    data = []
     for pair in pairs:
         try:
-            entry = _units_by_kind(pair.source, pair.gold, casing, tokenizer, alignments), None
+            per_pair = _units_by_kind(pair.source, pair.gold, casing, tokenizer, alignments)
         except ValueError as exc:
-            entry = None, f"{exc} (source={pair.source!r})"
-        data.append(entry)
-    return data
+            log.warning("skipping pair: %s (source=%r)", exc, pair.source)
+            continue
+        yield per_pair
 
 
 def counts_from_unit_data(
     data, modes, casing: CasingMode, builds: BuildMemo | None = None
 ) -> dict[GranularityMode, Counter]:
-    """Count each mode's transformation over the units of ``corpus_unit_data``.
+    """Count each mode's transformation over the pairs ``corpus_unit_data`` yields.
 
     Each distinct (unit, span) is built once per mode; ``builds`` keeps the
     builds for later encodings.
     """
     occurrences = {mode.unit: Counter() for mode in modes}
-    for per_pair, problem in data:
-        if per_pair is None:
-            log.warning("skipping pair: %s", problem)
-            continue
+    for per_pair in data:
         for kind, counter in occurrences.items():
             counter.update(zip(*per_pair[kind]))
     counters = {mode: Counter() for mode in modes}
@@ -282,7 +304,7 @@ def induce(
     casing: CasingMode,
     min_count: int = 1,
     synthetic_pairs=(),
-    synthetic_limit: int = 0,
+    synthetic_limit: int = DEFAULT_SYNTHETIC_LIMIT,
     tokenizer: TokenizerMode = TokenizerMode.word(),
 ) -> TransformationDictionary:
     """Induce a transformation dictionary from authentic plus capped synthetic pairs.
@@ -302,26 +324,6 @@ def induce(
     return dictionary_from_counts(counts, mode, casing, min_count)
 
 
-def _encode_unit(
-    unit: str, span: str, dictionary: TransformationDictionary, builds: BuildMemo | None = None
-) -> int:
-    if span == "" and dictionary.mode.grain == "string":
-        # string rules carry non-empty payloads and units are never empty,
-        # so no entry can rewrite a unit into nothing
-        return UNCORRECTABLE_ID
-    built = build_unit_transformation(
-        unit, span, dictionary.mode.grain, dictionary.casing, builds
-    )
-    if built is not None:
-        ident = dictionary.lookup(built)
-        if ident is not None:
-            return ident
-    for entry in dictionary.entries[1:]:
-        if apply_transformation(entry.transformation, unit) == span:
-            return entry.ident
-    return UNCORRECTABLE_ID
-
-
 def encode(
     source: str,
     gold: str,
@@ -330,12 +332,10 @@ def encode(
 ) -> LabeledSentence:
     """Label every unit of ``source`` with the dictionary entry encoding its correction.
 
-    Direct lookup of the built transformation first; otherwise the lowest id
-    (the most frequent rule) whose application yields the unit's gold span;
-    otherwise the uncorrectable label.
+    See :meth:`TransformationDictionary.label` for the choice of entry.
     """
     units, spans = unit_pairs(source, gold, dictionary.mode, dictionary.casing, tokenizer)
-    labels = tuple(_encode_unit(u, s, dictionary) for u, s in zip(units, spans))
+    labels = tuple(dictionary.label(u, s) for u, s in zip(units, spans))
     return LabeledSentence(tuple(units), labels)
 
 
@@ -353,6 +353,7 @@ def apply_labels(labeled: LabeledSentence, dictionary: TransformationDictionary)
 # UTF-8 text. Header line:
 #   mode=<char|string>-at-<subword|word> casing=<cased|uncased> min_count=<n>
 # then one entry per line: <id>\t<count>\t<serialized transformation>
+# Entries after uncorrectable and keep are rules of the mode's grain.
 
 
 def dumps_dictionary(dictionary: TransformationDictionary) -> str:
@@ -404,6 +405,8 @@ def loads_dictionary(text: str) -> TransformationDictionary:
             transformation = parse_transformation(parts[2])
         except FormatError as exc:
             raise FormatError(f"line {lineno}: {exc}") from None
+        if ident > KEEP_ID and not isinstance(transformation, _GRAIN_RULES[mode.grain]):
+            raise FormatError(f"line {lineno}: {parts[2]!r} is not a {mode.grain} rule")
         entries.append(DictEntry(ident, count, transformation))
     try:
         return TransformationDictionary(mode, casing, min_count, tuple(entries))

@@ -11,6 +11,16 @@ ONSETS = ["k", "p", "r", "z", "c", "s", "m", "v", "t", "d", "b", "l", "n", "ř",
 VOWELS = ["a", "e", "i", "o", "u", "y", "á", "é", "í", "ů", "ě"]
 SUFFIXES = ["a", "y", "e", "u", "ou", "ami", "ech"]
 
+# Czech, German and Russian letters, both cases; "ß".upper() is "SS"
+ALPHABETS = [
+    letters + letters.upper()
+    for letters in (
+        "aábcčdďeéěfghiíjklmnňoópqrřsštťuúůvwxyýzž",
+        "aäbcdefghijklmnoöpqrsßtuüvwxyz",
+        "абвгдеёжзийклмнопрстуфхцчшщъыьэюя",
+    )
+]
+
 
 def random_stem(rng: random.Random, min_syllables: int = 1, max_syllables: int = 3) -> str:
     n = rng.randint(min_syllables, max_syllables)

@@ -173,6 +173,37 @@ def test_malformed_dictionary_exits_2_naming_the_file(tmp_path, capsys):
     assert not out.exists()
 
 
+RESERVED = "0\t0\tUNCORRECTABLE\n1\t0\tKEEP\n"
+CHAR_HEADER = "mode=char-at-subword casing=uncased min_count=1\n"
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("mode=string-at-word casing=uncased min_count=1\n" + RESERVED + "2\t5\tCHAR del@e1\n",
+         "line 4: 'CHAR del@e1' is not a string rule"),
+        (CHAR_HEADER + RESERVED + "2\t5\tREPLACE %20dog\n",
+         "line 4: 'REPLACE %20dog' is not a char rule"),
+        (CHAR_HEADER + "0\t0\tUNCORRECTABLE\n1\t0\tCHAR del@e1\n", "entry 1 must be keep"),
+        (CHAR_HEADER + RESERVED + "3\t1\tCHAR del@e1\n", "entry ids must be dense"),
+        (CHAR_HEADER + RESERVED + "2\t2\tCHAR del@e1\n3\t1\tCHAR del@e1\n",
+         "dictionary entries must be unique"),
+    ],
+    ids=["char-rule-in-string-dict", "string-rule-in-char-dict", "entry-1-not-keep",
+         "ids-not-dense", "duplicate-entry"],
+)
+def test_inconsistent_dictionary_exits_2_naming_the_file(tmp_path, capsys, text, where):
+    corpus = tmp_path / "cats.tsv"
+    corpus.write_text("cats sat\tcat sat\n", encoding="utf-8")
+    dict_path = tmp_path / "bad.dict"
+    dict_path.write_text(text, encoding="utf-8")
+    out = tmp_path / "cats.labels"
+    assert run("encode", corpus, "--dict", dict_path, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"{dict_path}: {where}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 TWO_DELETIONS_DICT = (
     "mode=char-at-subword casing=uncased min_count=1\n"
     "0\t0\tUNCORRECTABLE\n1\t0\tKEEP\n2\t1\tCHAR del@e1\n3\t1\tCHAR del@e2\n"

@@ -1,7 +1,11 @@
 import random
+import unicodedata
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from corpusgen import ALPHABETS
 from gecxform.align import edit_distance
 from gecxform.editscript import (
     DELETE,
@@ -23,7 +27,7 @@ from gecxform.editscript import (
     serialize_transformation,
 )
 from gecxform.errors import FormatError
-from gecxform.textnorm import CasingMode
+from gecxform.textnorm import CasingMode, fold
 
 C = CasingMode.CASED
 U = CasingMode.UNCASED
@@ -117,6 +121,28 @@ def test_build_round_trip_property():
             continue
         t = build_char_transformation(unit, gold, casing)
         assert apply_char_transformation(t, unit) == gold
+
+
+@st.composite
+def unit_span_pairs(draw):
+    """A word and a recased, folded or unrelated word of one alphabet, either
+    way round, in NFC or NFD, with or without the leading space."""
+    word = st.text(alphabet=draw(st.sampled_from(ALPHABETS)), min_size=1, max_size=7)
+    w = draw(word)
+    v = draw(st.sampled_from([w.lower(), w.upper(), w.capitalize(), fold(w, U)]) | word)
+    form, lead = draw(st.sampled_from(["NFC", "NFD"])), draw(st.sampled_from(["", " "]))
+    return tuple(unicodedata.normalize(form, lead + x) for x in draw(st.permutations([w, v])))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(unit_span_pairs(), st.sampled_from([C, U]))
+def test_build_reaches_the_span_or_raises(pair, casing):
+    unit, span = pair
+    try:
+        t = build_char_transformation(unit, span, casing)
+    except UnreachableSpanError:
+        return
+    assert apply_char_transformation(t, unit) == span
 
 
 def test_build_base_edit_count_is_minimal():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import gecxform.evaluate as evaluate_module
 import gecxform.transform as transform_module
 from corpusgen import (
+    ALPHABETS,
     cased_noise_config,
     corpusgen_vocab,
     corrupted_corpus,
@@ -147,16 +148,16 @@ def test_upper_bound_self_induced_is_perfect():
         uncased_noise_config(3),
     )
     dictionary = induce(pairs, CHAR_SUB, U, min_count=1, tokenizer=CHUNKS)
-    counts, row = oracle_upper_bound(pairs, dictionary, CHUNKS)
-    assert counts.f_half == 1.0
+    row = oracle_upper_bound(pairs, dictionary, CHUNKS)
+    assert row.counts.f_half == 1.0
     assert row.dictionary_size == dictionary.size
     assert row.min_count == 1
 
 
 def test_upper_bound_reserved_dictionary_scores_zero():
     pairs = [SentencePair("kocka leze", "Kočka leze")]
-    counts, _ = oracle_upper_bound(pairs, reserved_only_dictionary(), CHUNKS)
-    assert counts.f_half == 0.0
+    row = oracle_upper_bound(pairs, reserved_only_dictionary(), CHUNKS)
+    assert row.counts.f_half == 0.0
 
 
 def test_upper_bound_iterations_preserve_perfect_scores():
@@ -164,21 +165,10 @@ def test_upper_bound_iterations_preserve_perfect_scores():
     # gold in round 1; extra allowed rounds must not disturb that
     pairs = suffix_error_pairs(60, seed=9)
     dictionary = induce(pairs, CHAR_SUB, U, min_count=1, tokenizer=CHUNKS)
-    one, _ = oracle_upper_bound(pairs, dictionary, CHUNKS, iterations=1)
-    four, _ = oracle_upper_bound(pairs, dictionary, CHUNKS, iterations=4)
-    assert one.f_half == 1.0
-    assert four.f_half == 1.0
-
-
-# Czech, German and Russian letters, both cases; "ß".upper() is "SS"
-ALPHABETS = [
-    letters + letters.upper()
-    for letters in (
-        "aábcčdďeéěfghiíjklmnňoópqrřsštťuúůvwxyýzž",
-        "aäbcdefghijklmnoöpqrsßtuüvwxyz",
-        "абвгдеёжзийклмнопрстуфхцчшщъыьэюя",
-    )
-]
+    one = oracle_upper_bound(pairs, dictionary, CHUNKS, iterations=1)
+    four = oracle_upper_bound(pairs, dictionary, CHUNKS, iterations=4)
+    assert one.counts.f_half == 1.0
+    assert four.counts.f_half == 1.0
 
 
 @st.composite
@@ -207,8 +197,7 @@ def test_upper_bound_self_induced_is_perfect_on_decomposed_input(pairs):
         for unit in ("subword", "word"):
             mode = GranularityMode("char", unit)
             dictionary = induce(loaded, mode, U, min_count=1, tokenizer=tokenizer)
-            counts, _ = oracle_upper_bound(loaded, dictionary, tokenizer)
-            assert counts.f_half == 1.0
+            assert oracle_upper_bound(loaded, dictionary, tokenizer).counts.f_half == 1.0
 
 
 # --- analysis sweep -----------------------------------------------------------
@@ -220,7 +209,7 @@ def test_analyze_row_grid_and_monotonicity():
     assert len(rows) == 24
     combos = {(r.mode.label, r.min_count, r.iterations) for r in rows}
     assert len(combos) == 24
-    by_config = {(r.mode.label, r.min_count, r.iterations): r.f_half for r in rows}
+    by_config = {(r.mode.label, r.min_count, r.iterations): r.counts.f_half for r in rows}
     for mode in ("char-at-subword", "char-at-word", "string-at-subword", "string-at-word"):
         for iters in (1, 4):
             f1 = by_config[(mode, 1, iters)]
@@ -267,9 +256,10 @@ def test_analyze_aligns_each_text_once_and_matches_independent_runs(
     for mode in ALL_MODES:
         for min_count in min_counts:
             dictionary = induce(pairs, mode, casing, min_count, tokenizer=tokenizer)
-            for iterations in iteration_counts:
-                _, row = oracle_upper_bound(pairs, dictionary, tokenizer, iterations)
-                reference.append(row)
+            reference += [
+                oracle_upper_bound(pairs, dictionary, tokenizer, iterations)
+                for iterations in iteration_counts
+            ]
 
     aligned = count_calls(
         monkeypatch, transform_module, "align", lambda subwords, gold: (tuple(subwords), gold)
@@ -299,6 +289,21 @@ def test_analyze_aligns_each_text_once_and_matches_independent_runs(
         assert requested["word"] == 0 < requested["subword"]
     else:
         assert requested["word"] > 0
+
+
+def test_analyze_labels_round_1_once_per_dictionary(monkeypatch):
+    # iterations 1 and 4 share each dictionary's labels, so round 1 adds no build
+    pairs = suffix_error_pairs(4, 3) + corrupted_corpus(8, 3, uncased_noise_config(3))
+    tokenizer = TokenizerMode.char_chunks(2)
+    requests = {}
+    for iteration_counts in ((4,), (1, 4)):
+        built = count_calls(
+            monkeypatch, transform_module, "build_unit_transformation", lambda *args: None
+        )
+        analyze(pairs, U, tokenizer, iteration_counts=iteration_counts)
+        requests[iteration_counts] = built[None]
+        monkeypatch.undo()
+    assert requests[1, 4] == requests[4,] > 0
 
 
 @pytest.mark.parametrize("tokenizer", [TokenizerMode.word(), TokenizerMode.char_chunks(2)],
@@ -348,8 +353,8 @@ def test_unalignable_pairs_are_skipped(monkeypatch, caplog):
     assert len(skipped) == len(bad)
 
     memo = OracleMemo()
-    counts, _ = oracle_upper_bound(pairs, dictionary, CHUNKS, iterations=2, memo=memo)
-    good_counts, _ = oracle_upper_bound(good, dictionary, CHUNKS, iterations=2)
+    counts = oracle_upper_bound(pairs, dictionary, CHUNKS, iterations=2, memo=memo).counts
+    good_counts = oracle_upper_bound(good, dictionary, CHUNKS, iterations=2).counts
     # a bad pair stays its source: no proposed edit, every gold edit missed
     as_source = score((p.source, p.source, pair_gold_edits(p)) for p in bad)
     assert as_source.fp == as_source.tp == 0 and as_source.fn > 0

@@ -25,7 +25,6 @@ from gecxform.transform import (
     LabeledSentence,
     TransformationDictionary,
     DictEntry,
-    _encode_unit,
     apply_labels,
     dumps_dictionary,
     encode,
@@ -103,6 +102,12 @@ def test_induce_threshold_monotone():
         assert smaller <= larger
 
 
+def test_induce_pools_synthetic_pairs_up_to_the_default_limit():
+    synthetic = [SentencePair("cat", "cats")] * 3
+    dictionary = induce([SentencePair("dog", "dog")], CHAR_SUB, U, synthetic_pairs=synthetic)
+    assert {e.count for e in dictionary.entries if e.ident > KEEP_ID} == {3}
+
+
 def test_induce_synthetic_cap():
     synthetic = [FIG_PAIR, SentencePair("fes", "ves"), SentencePair("rin", "ring")]
     dictionary = induce(
@@ -173,23 +178,40 @@ def test_encode_fallback_takes_the_lowest_matching_id():
         (DictEntry(0, 0, UNCORRECTABLE), DictEntry(1, 0, KEEP),
          DictEntry(2, 1, deletions[0]), DictEntry(3, 1, deletions[1])),
     )
-    assert _encode_unit(" aa", " a", dictionary) == 2
+    assert dictionary.label(" aa", " a") == 2
 
 
-def test_encode_empty_span_in_string_grain_skips_the_scan(monkeypatch):
-    # no string rule yields an empty unit, so the scan is not started
+def test_encode_empty_span_in_string_grain_skips_the_scan():
+    # no string rule yields an empty unit, so the scan finds no entry
     dictionary = TransformationDictionary(
         STRING_WORD, U, 1,
         (DictEntry(0, 0, UNCORRECTABLE), DictEntry(1, 0, KEEP),
          DictEntry(2, 1, StringTransformation("append", "s")),
          DictEntry(3, 1, StringTransformation("replace", " a"))),
     )
+    assert dictionary.label(" kocka", "") == UNCORRECTABLE_ID
 
-    def no_scan(transformation, unit):
-        raise AssertionError("fallback scan started")
 
-    monkeypatch.setattr(transform_module, "apply_transformation", no_scan)
-    assert _encode_unit(" kocka", "", dictionary) == UNCORRECTABLE_ID
+def test_a_dictionary_labels_each_unit_and_span_once(monkeypatch):
+    # the built del@s2 is absent, so the first encoding scans the dictionary
+    dictionary = TransformationDictionary(
+        CHAR_SUB, U, 1,
+        (DictEntry(0, 0, UNCORRECTABLE), DictEntry(1, 0, KEEP),
+         DictEntry(2, 1, CharTransformation(base_edits=(CharEdit("del", "e", 1),)))),
+    )
+    applied = []
+    original = transform_module.apply_transformation
+
+    def counting(transformation, unit):
+        applied.append(unit)
+        return original(transformation, unit)
+
+    monkeypatch.setattr(transform_module, "apply_transformation", counting)
+    first = encode("kocka aa", "kocka a", dictionary, TokenizerMode.word())
+    scanned = len(applied)
+    second = encode("kocka aa", "kocka a", dictionary, TokenizerMode.word())
+    assert first == second and first.labels == (KEEP_ID, 2)
+    assert scanned > 0 and len(applied) == scanned
 
 
 def test_encode_is_deterministic():
