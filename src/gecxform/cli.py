@@ -3,7 +3,8 @@
 Every command is deterministic given its inputs and flags; only ``corrupt``
 draws random numbers, seeded by ``--seed`` or its config. A JSON manifest with
 flag values and input digests is written next to each output file. Exit codes:
-0 success, 1 internal error, 2 usage or format error.
+0 success, 1 internal error, 2 usage or format error. Every input error exits
+2 with a message that names the file, and the line where there is one.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import json
 import logging
 import sys
 import traceback
-import unicodedata
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,6 +24,7 @@ from .corpus import (
     corrupt_corpus,
     load_corpus,
     load_corruption_config,
+    load_text,
     serialize_tsv,
     split_lines,
 )
@@ -54,6 +55,9 @@ EXIT_USAGE = 2
 
 MODE_CHOICES = [mode.label for mode in ALL_MODES]
 
+# Every flag that names an input file; the manifest digests the files they name.
+INPUT_FLAGS = "corpus synthetic dictionary labels hypothesis vocab config input".split()
+
 
 def _int_at_least(minimum: int):
     """argparse type: an int no smaller than ``minimum``; violations exit 2."""
@@ -68,25 +72,35 @@ def _int_at_least(minimum: int):
     return parse
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _write_output(args: argparse.Namespace, text: str, summary: str) -> int:
+    """Write ``text`` and its manifest to ``--out`` and print ``summary``; no ``--out``: stdout.
 
-
-def _write_manifest(out_path: Path, command: str, args: argparse.Namespace, inputs: list[Path]) -> None:
-    flags = {k: v for k, v in vars(args).items() if k != "func"}
+    The inputs are digested first, so an input that cannot be read leaves no output.
+    """
+    if not args.out:
+        sys.stdout.write(text)
+        return EXIT_OK
+    inputs = {}
+    for flag in INPUT_FLAGS:
+        value = getattr(args, flag, None) or []
+        for path in map(Path, [value] if isinstance(value, str) else value):
+            inputs[str(path)] = hashlib.sha256(path.read_bytes()).hexdigest()
+    out = Path(args.out)
     manifest = {
         "tool": "gecxform",
         "version": __version__,
-        "command": command,
-        "flags": {k: str(v) if isinstance(v, Path) else v for k, v in flags.items()},
-        "inputs": {str(p): _sha256(Path(p)) for p in inputs},
-        "output": str(out_path),
+        "command": args.command,
+        "flags": {k: v for k, v in vars(args).items() if k != "func"},
+        "inputs": inputs,
+        "output": str(out),
     }
-    path = Path(str(out_path) + ".manifest.json")
-    path.write_text(
+    out.write_text(text, encoding="utf-8")
+    Path(f"{out}.manifest.json").write_text(
         json.dumps(manifest, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
         encoding="utf-8",
     )
+    print(f"{summary} -> {out}")
+    return EXIT_OK
 
 
 def _tokenizer_from_args(args: argparse.Namespace, casing: CasingMode) -> TokenizerMode:
@@ -134,12 +148,8 @@ def cmd_induce(args: argparse.Namespace) -> int:
         synthetic_limit=args.synthetic_limit,
         tokenizer=tokenizer,
     )
-    out = Path(args.out)
-    out.write_text(dumps_dictionary(dictionary), encoding="utf-8")
-    inputs = [Path(p) for p in args.corpus] + ([Path(args.synthetic)] if args.synthetic else [])
-    _write_manifest(out, "induce", args, inputs)
-    print(f"induced {dictionary.size} transformations -> {out}")
-    return EXIT_OK
+    summary = f"induced {dictionary.size} transformations"
+    return _write_output(args, dumps_dictionary(dictionary), summary)
 
 
 def _unaligned_record(source: str, dictionary, tokenizer: TokenizerMode) -> LabeledSentence:
@@ -177,60 +187,49 @@ def cmd_encode(args: argparse.Namespace) -> int:
             "labels": list(labeled.labels),
         }
         lines.append(json.dumps(record, ensure_ascii=False) + "\n")
-    out = Path(args.out)
-    out.write_text("".join(lines), encoding="utf-8")
-    inputs = [Path(p) for p in args.corpus] + [Path(args.dictionary)]
-    _write_manifest(out, "encode", args, inputs)
-    print(
+    return _write_output(
+        args, "".join(lines),
         f"encoded {len(pairs)} sentences ({uncorrectable} uncorrectable labels, "
-        f"{skipped} skipped pairs) -> {out}"
+        f"{skipped} skipped pairs)",
     )
-    return EXIT_OK
 
 
-def _parse_labeled(line: str, size: int) -> LabeledSentence:
-    """One record of a label file; ValueError says what is malformed."""
-    record = json.loads(line)
-    if not isinstance(record, dict) or not {"units", "labels"} <= record.keys():
-        raise ValueError("expected an object with units and labels")
-    units, labels = record["units"], record["labels"]
-    if not isinstance(units, list) or not all(isinstance(u, str) for u in units):
-        raise ValueError("units must be a list of strings")
-    if not isinstance(labels, list) or not all(
-        type(label) is int and 0 <= label < size for label in labels
-    ):
-        raise ValueError(f"labels must be a list of dictionary ids 0..{size - 1}")
-    return LabeledSentence(tuple(units), tuple(labels))
+def _parse_labels(text: str, size: int) -> list[LabeledSentence]:
+    """The records of a label file, one JSON object a line; blank lines are skipped."""
+    records = []
+    for lineno, line in enumerate(map(str.strip, split_lines(text)), 1):
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+            if not isinstance(record, dict) or not {"units", "labels"} <= record.keys():
+                raise ValueError("expected an object with units and labels")
+            units, labels = record["units"], record["labels"]
+            if not isinstance(units, list) or not all(isinstance(u, str) for u in units):
+                raise ValueError("units must be a list of strings")
+            if not isinstance(labels, list) or not all(
+                type(label) is int and 0 <= label < size for label in labels
+            ):
+                raise ValueError(f"labels must be a list of dictionary ids 0..{size - 1}")
+            records.append(LabeledSentence(tuple(units), tuple(labels)))
+        except ValueError as exc:
+            raise FormatError(f"line {lineno}: {exc}") from None
+    return records
 
 
 def cmd_apply(args: argparse.Namespace) -> int:
     dictionary = load_dictionary(args.dictionary)
-    decoded = []
-    with Path(args.labels).open(encoding="utf-8") as src:
-        for lineno, line in enumerate(src, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                labeled = _parse_labeled(line, dictionary.size)
-            except ValueError as exc:
-                raise FormatError(f"{args.labels}:{lineno}: {exc}") from None
-            decoded.append(apply_labels(labeled, dictionary) + "\n")
-    out = Path(args.out)
-    out.write_text("".join(decoded), encoding="utf-8")
-    _write_manifest(out, "apply", args, [Path(args.labels), Path(args.dictionary)])
-    print(f"applied labels to {len(decoded)} sentences -> {out}")
-    return EXIT_OK
+    records = load_text(args.labels, _parse_labels, dictionary.size)
+    decoded = "".join(apply_labels(labeled, dictionary) + "\n" for labeled in records)
+    return _write_output(args, decoded, f"applied labels to {len(records)} sentences")
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     pairs = _load_pairs(args.corpus, args.annotator)
-    # NFC, as load_corpus reads the corpus, so that equal text compares equal
-    text = unicodedata.normalize("NFC", Path(args.hypothesis).read_text(encoding="utf-8"))
-    hypothesis_lines = split_lines(text)
+    hypothesis_lines = load_text(args.hypothesis, split_lines)
     if len(hypothesis_lines) != len(pairs):
         raise FormatError(
-            f"hypothesis has {len(hypothesis_lines)} lines, corpus has {len(pairs)}"
+            f"{args.hypothesis}: {len(hypothesis_lines)} lines for {len(pairs)} sentence pairs"
         )
     counts = score(
         (pair.source, hyp, pair_gold_edits(pair, args.annotator))
@@ -241,13 +240,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         f"{counts.tp}\t{counts.fp}\t{counts.fn}\t{counts.precision:.4f}"
         f"\t{counts.recall:.4f}\t{counts.f_half:.4f}\n"
     )
-    if args.out:
-        out = Path(args.out)
-        out.write_text(report, encoding="utf-8")
-        _write_manifest(out, "evaluate", args, [Path(p) for p in args.corpus] + [Path(args.hypothesis)])
-    else:
-        sys.stdout.write(report)
-    return EXIT_OK
+    return _write_output(args, report, f"scored {len(pairs)} sentences")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -262,26 +255,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         iteration_counts=tuple(args.iterations),
         annotator=args.annotator,
     )
-    out = Path(args.out)
-    out.write_text(rows_to_tsv(rows), encoding="utf-8")
-    _write_manifest(out, "analyze", args, [Path(p) for p in args.corpus])
-    print(f"wrote {len(rows)} analysis rows -> {out}")
-    return EXIT_OK
+    return _write_output(args, rows_to_tsv(rows), f"wrote {len(rows)} analysis rows")
 
 
 def cmd_corrupt(args: argparse.Namespace) -> int:
     config = load_corruption_config(args.config) if args.config else CorruptionConfig()
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    text = Path(args.input).read_text(encoding="utf-8")
-    golds = [line for line in split_lines(text) if line.strip()]
+    golds = [line for line in load_text(args.input, split_lines) if line.strip()]
     pairs = corrupt_corpus(golds, config)
-    out = Path(args.out)
-    out.write_text(serialize_tsv(pairs), encoding="utf-8")
-    inputs = [Path(args.input)] + ([Path(args.config)] if args.config else [])
-    _write_manifest(out, "corrupt", args, inputs)
-    print(f"corrupted {len(pairs)} sentences -> {out}")
-    return EXIT_OK
+    return _write_output(args, serialize_tsv(pairs), f"corrupted {len(pairs)} sentences")
 
 
 def build_parser() -> argparse.ArgumentParser:

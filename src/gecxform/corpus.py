@@ -6,11 +6,33 @@ import random
 import unicodedata
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 from .errors import FormatError
 from .textnorm import strip_diacritics
 
 NONE_FIELD = "-NONE-"
+
+
+def load_text(path: str | Path, parse: Callable, *args):
+    """Return ``parse(text, *args)`` for an input file; every input file is read here.
+
+    The text is UTF-8 with universal newlines, NFC-normalized: a decomposed
+    letter such as ``е`` + U+0308 would otherwise leave a combining mark in an
+    uncased gold span, which no rule built from the folded source can produce.
+    A non-UTF-8 byte, or a FormatError from ``parse`` (``line N: ...``), becomes
+    a FormatError that names the file.
+    """
+    data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"{path}: line {line}: not UTF-8") from None
+    try:
+        return parse(unicodedata.normalize("NFC", text), *args)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -37,7 +59,7 @@ class SentencePair:
     gold_edits: tuple[GoldEdit, ...] = ()
 
 
-def _check_overlaps(edits: list[GoldEdit], context: str) -> None:
+def _check_overlaps(edits: list[GoldEdit]) -> None:
     by_annotator: dict[int, list[GoldEdit]] = {}
     for e in edits:
         by_annotator.setdefault(e.annotator, []).append(e)
@@ -49,9 +71,7 @@ def _check_overlaps(edits: list[GoldEdit], context: str) -> None:
                 prev.start_token == prev.end_token == nxt.start_token == nxt.end_token
             )
             if crossing or same_gap:
-                raise FormatError(
-                    f"{context}: overlapping edits for annotator {annotator}"
-                )
+                raise FormatError(f"overlapping edits for annotator {annotator}")
 
 
 def replay_edits(source_tokens: list[str], edits: list[GoldEdit]) -> list[str]:
@@ -83,12 +103,13 @@ def parse_m2(text: str, annotator: int = 0) -> list[SentencePair]:
     def finish() -> None:
         nonlocal source, edits
         if source is None:
-            if edits:
-                raise FormatError(f"line {start_line}: A line without an S line")
             return
-        _check_overlaps(edits, f"block at line {start_line}")
-        selected = [e for e in edits if e.annotator == annotator]
-        gold = " ".join(replay_edits(source.split(), selected))
+        try:
+            _check_overlaps(edits)
+            selected = [e for e in edits if e.annotator == annotator]
+            gold = " ".join(replay_edits(source.split(), selected))
+        except FormatError as exc:
+            raise FormatError(f"block at line {start_line}: {exc}") from None
         pairs.append(SentencePair(source, gold, tuple(edits)))
         source = None
         edits = []
@@ -158,20 +179,10 @@ def serialize_tsv(pairs: list[SentencePair]) -> str:
 
 
 def load_corpus(path: str | Path, annotator: int = 0) -> list[SentencePair]:
-    """Load a corpus by extension: .m2 for M2 blocks, anything else as TSV.
-
-    The text is NFC-normalized: a decomposed letter such as ``е`` + U+0308
-    would otherwise leave a combining mark in an uncased gold span, which no
-    rule built from the folded source can produce.
-    """
-    path = Path(path)
-    text = unicodedata.normalize("NFC", path.read_text(encoding="utf-8"))
-    try:
-        if path.suffix.lower() == ".m2":
-            return parse_m2(text, annotator=annotator)
-        return parse_tsv(text)
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    """Load a corpus by extension: .m2 for M2 blocks, anything else as TSV."""
+    if Path(path).suffix.lower() == ".m2":
+        return load_text(path, parse_m2, annotator)
+    return load_text(path, parse_tsv)
 
 
 # --- synthetic corruption -----------------------------------------------------
@@ -278,15 +289,19 @@ def corrupt_corpus(golds: list[str], config: CorruptionConfig) -> list[SentenceP
 
 def load_corruption_config(path: str | Path) -> CorruptionConfig:
     """Read a flat key=value config file; unknown keys are an error."""
+    return load_text(path, _parse_config, Path(path).parent)
+
+
+def _parse_config(text: str, here: Path) -> CorruptionConfig:
     config = CorruptionConfig()
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
+    for lineno, line in enumerate(text.split("\n"), 1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         key, sep, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if not sep:
-            raise FormatError(f"{path}:{lineno}: expected key=value")
+            raise FormatError(f"line {lineno}: expected key=value")
         try:
             if key in _FLOAT_KEYS:
                 config = replace(config, **{key: float(value)})
@@ -295,21 +310,21 @@ def load_corruption_config(path: str | Path) -> CorruptionConfig:
             elif key == "alphabet":
                 config = replace(config, alphabet=value)
             elif key == "neighbors_file":
-                config = replace(config, neighbors=_load_neighbors(Path(path).parent / value))
+                config = replace(config, neighbors=load_text(here / value, _parse_neighbors))
             else:
-                raise FormatError(f"{path}:{lineno}: unknown key {key!r}")
+                raise ValueError(f"unknown key {key!r}")
         except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from None
+            raise FormatError(f"line {lineno}: {exc}") from None
     return config
 
 
-def _load_neighbors(path: Path) -> tuple[tuple[str, str], ...]:
+def _parse_neighbors(text: str) -> tuple[tuple[str, str], ...]:
     pairs = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), 1):
+    for lineno, line in enumerate(text.split("\n"), 1):
         if not line:
             continue
         fields = line.split("\t")
         if len(fields) != 2 or len(fields[0]) != 1 or not fields[1]:
-            raise FormatError(f"{path}:{lineno}: expected char<TAB>neighbors")
+            raise FormatError(f"line {lineno}: expected char<TAB>neighbors")
         pairs.append((fields[0], fields[1]))
     return tuple(pairs)

@@ -192,8 +192,6 @@ def build_char_transformation(
     transformation = CharTransformation(tuple(base), case)
 
     current = apply_char_transformation(transformation, unit)
-    if current is None:
-        raise UnreachableSpanError(f"cannot rewrite {unit!r} into {span!r}")
     dia: list[CharEdit] = []
     if casing is CasingMode.UNCASED:
         for idx, (have, want) in enumerate(zip(current, span)):

@@ -10,11 +10,10 @@ sentence.
 
 from __future__ import annotations
 
-import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import split_lines
+from .corpus import load_text, split_lines
 from .errors import FormatError
 from .textnorm import CasingMode, fold
 
@@ -137,21 +136,20 @@ def load_vocab(path: str | Path, casing: CasingMode = CasingMode.CASED) -> froze
     """Read a vocabulary file: UTF-8, one piece per line, leading space significant.
 
     In uncased mode every piece must already be lowercase and undiacritized.
-    The text is NFC-normalized, as corpora are at load, so that a decomposed
-    piece still matches.
     """
-    text = unicodedata.normalize("NFC", Path(path).read_text(encoding="utf-8"))
+    return load_text(path, _parse_vocab, casing)
+
+
+def _parse_vocab(text: str, casing: CasingMode) -> frozenset[str]:
     pieces = []
     for lineno, raw in enumerate(split_lines(text), 1):
         try:
             _check_piece(raw)
+            if casing is CasingMode.UNCASED and fold(raw, casing) != raw:
+                raise ValueError(f"piece {raw!r} is not valid for uncased mode")
         except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from None
-        if casing is CasingMode.UNCASED and fold(raw, casing) != raw:
-            raise FormatError(
-                f"{path}:{lineno}: piece {raw!r} is not valid for uncased mode"
-            )
+            raise FormatError(f"line {lineno}: {exc}") from None
         pieces.append(raw)
     if not pieces:
-        raise FormatError(f"{path}: empty vocabulary")
+        raise FormatError("empty vocabulary")
     return frozenset(pieces)

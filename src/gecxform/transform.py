@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .align import align
-from .corpus import split_lines
+from .corpus import load_text, split_lines
 from .editscript import (
     KEEP,
     UNCORRECTABLE,
@@ -83,6 +83,14 @@ class DictEntry:
     transformation: Transformation
 
 
+class EntryError(ValueError):
+    """An entry breaks a dictionary invariant; ``index`` is its position."""
+
+    def __init__(self, index: int, message: str) -> None:
+        super().__init__(message)
+        self.index = index
+
+
 @dataclass
 class TransformationDictionary:
     """Induced label set. Entry 0 is always uncorrectable and entry 1 keep."""
@@ -96,17 +104,17 @@ class TransformationDictionary:
 
     def __post_init__(self) -> None:
         if len(self.entries) < 2:
-            raise ValueError("dictionary must contain uncorrectable and keep")
+            raise EntryError(len(self.entries), "dictionary must contain uncorrectable and keep")
         if not isinstance(self.entries[UNCORRECTABLE_ID].transformation, UncorrectableMarker):
-            raise ValueError("entry 0 must be the uncorrectable marker")
+            raise EntryError(UNCORRECTABLE_ID, "entry 0 must be the uncorrectable marker")
         if self.entries[KEEP_ID].transformation != KEEP:
-            raise ValueError("entry 1 must be keep")
+            raise EntryError(KEEP_ID, "entry 1 must be keep")
+        self._by_value = {}
         for i, entry in enumerate(self.entries):
             if entry.ident != i:
-                raise ValueError("entry ids must be dense and ascending")
-        self._by_value = {e.transformation: e.ident for e in self.entries}
-        if len(self._by_value) != len(self.entries):
-            raise ValueError("dictionary entries must be unique")
+                raise EntryError(i, "entry ids must be dense and ascending")
+            if self._by_value.setdefault(entry.transformation, i) != i:
+                raise EntryError(i, "dictionary entries must be unique")
         self._labels = {}
 
     @property
@@ -410,12 +418,9 @@ def loads_dictionary(text: str) -> TransformationDictionary:
         entries.append(DictEntry(ident, count, transformation))
     try:
         return TransformationDictionary(mode, casing, min_count, tuple(entries))
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+    except EntryError as exc:
+        raise FormatError(f"line {exc.index + 2}: {exc}") from None
 
 
 def load_dictionary(path: str | Path) -> TransformationDictionary:
-    try:
-        return loads_dictionary(Path(path).read_text(encoding="utf-8"))
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    return load_text(path, loads_dictionary)

@@ -35,8 +35,8 @@ def test_induce_worked_example(fig_files, tmp_path):
     assert dictionary.size == 5
     manifest = json.loads((tmp_path / "fig.dict.manifest.json").read_text())
     assert manifest["command"] == "induce"
-    assert str(corpus) in manifest["inputs"]
-    assert len(manifest["inputs"][str(corpus)]) == 64
+    assert set(manifest["inputs"]) == {str(corpus), str(vocab)}
+    assert all(len(digest) == 64 for digest in manifest["inputs"].values())
 
 
 def test_induce_huge_min_count(fig_files, tmp_path):
@@ -89,6 +89,97 @@ def test_out_of_range_number_exits_2(fig_files, tmp_path, capsys, argv):
     assert exc.value.code == 2
     assert "Traceback" not in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# One command line per reader of an input file, named by the file it reads.
+READERS = {
+    "corpus": "induce {corpus} --mode char-at-word",
+    "m2": "induce {m2} --mode char-at-word",
+    "dictionary": "encode {corpus} --dict {dictionary}",
+    "vocab": "induce {corpus} --mode char-at-subword --tokenizer vocab --vocab {vocab}",
+    "labels": "apply {labels} --dict {dictionary}",
+    "hypothesis": "evaluate {corpus} --hypothesis {hypothesis}",
+    "input": "corrupt {input}",
+    "config": "corrupt {input} --config {config}",
+    "neighbors": "corrupt {input} --config {config}",
+}
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    """A valid file for every reader in READERS."""
+    paths = {
+        "corpus": tmp_path / "c.tsv", "m2": tmp_path / "c.m2", "dictionary": tmp_path / "c.dict",
+        "vocab": tmp_path / "vocab.txt", "labels": tmp_path / "c.labels",
+        "hypothesis": tmp_path / "hyp.txt", "input": tmp_path / "gold.txt",
+        "config": tmp_path / "noise.conf", "neighbors": tmp_path / "neighbors.tsv",
+    }
+    paths["corpus"].write_text("a b\ta c\n", encoding="utf-8")
+    paths["m2"].write_text("S a b\nA 1 2|||R|||c|||REQUIRED|||-NONE-|||0\n", encoding="utf-8")
+    assert run("induce", paths["corpus"], "--mode", "char-at-subword",
+               "--out", paths["dictionary"]) == 0
+    assert run("encode", paths["corpus"], "--dict", paths["dictionary"],
+               "--out", paths["labels"]) == 0
+    paths["vocab"].write_text(" a\n b\n c\n", encoding="utf-8")
+    paths["hypothesis"].write_text("a c\n", encoding="utf-8")
+    paths["input"].write_text("a c\n", encoding="utf-8")
+    paths["config"].write_text("seed=1\nneighbors_file=neighbors.tsv\n", encoding="utf-8")
+    paths["neighbors"].write_text("a\tq\n", encoding="utf-8")
+    return paths
+
+
+def run_reader(reader, paths, out, capsys):
+    """Run the command that reads ``reader``'s file; return its exit code and stderr."""
+    capsys.readouterr()
+    code = run(*[arg.format(**paths) for arg in READERS[reader].split()], "--out", out)
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("reader", list(READERS))
+def test_non_utf8_input_exits_2_naming_file_and_line(inputs, tmp_path, capsys, reader):
+    assert run_reader(reader, inputs, tmp_path / "good.out", capsys)[0] == 0
+    inputs[reader].write_bytes(b"first line\nsecond \xff line\n")
+    out = tmp_path / "bad.out"
+    code, err = run_reader(reader, inputs, out, capsys)
+    assert code == 2
+    assert f"{inputs[reader]}: line 2: not UTF-8" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+M2_BLOCK = "S a b\nA {}|||R|||c|||REQUIRED|||-NONE-|||0\n"
+
+
+@pytest.mark.parametrize(
+    "reader, text, where",
+    [
+        ("m2", M2_BLOCK.format("x 1"), "line 2: malformed A line"),
+        ("m2", M2_BLOCK.format("2 1"), "line 2: invalid edit span 2..1"),
+        ("m2", M2_BLOCK.format("5 6"), "block at line 1: edit span 5..6 exceeds 2 tokens"),
+        ("vocab", "", "empty vocabulary"),
+        ("config", "seed=1\nsubstitute_char\n", "line 2: expected key=value"),
+        ("config", "nonsense=1\n", "line 1: unknown key 'nonsense'"),
+        ("neighbors", "a\tq\nab\tq\n", "line 2: expected char<TAB>neighbors"),
+        ("hypothesis", "a c\nextra\n", "2 lines for 1 sentence pairs"),
+    ],
+    ids=["span-not-int", "span-reversed", "span-past-end", "empty-vocab", "config-no-equals",
+         "config-unknown-key", "neighbors-line", "hypothesis-length"],
+)
+def test_bad_input_exits_2_naming_file_and_line(inputs, tmp_path, capsys, reader, text, where):
+    inputs[reader].write_text(text, encoding="utf-8")
+    out = tmp_path / "bad.out"
+    code, err = run_reader(reader, inputs, out, capsys)
+    assert code == 2
+    assert f"{inputs[reader]}: {where}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_vocab_tokenizer_without_vocab_exits_2(inputs, tmp_path, capsys):
+    out = tmp_path / "x.dict"
+    code = run("induce", inputs["corpus"], "--mode", "char-at-subword", "--tokenizer", "vocab",
+               "--out", out)
+    assert code == 2
+    assert "--tokenizer vocab requires --vocab" in capsys.readouterr().err
+    assert not out.exists()
 
 
 M2_EDIT = "S He go to school .\nA 1 2|||R:VERB|||went|||REQUIRED|||-NONE-|||0\n"
@@ -155,7 +246,7 @@ def test_apply_bad_label_record_exits_2(tmp_path, capsys, record):
     code = run("apply", labels, "--dict", dict_path, "--out", out)
     assert code == 2
     err = capsys.readouterr().err
-    assert f"{labels}:2:" in err and "Traceback" not in err
+    assert f"{labels}: line 2:" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -184,10 +275,10 @@ CHAR_HEADER = "mode=char-at-subword casing=uncased min_count=1\n"
          "line 4: 'CHAR del@e1' is not a string rule"),
         (CHAR_HEADER + RESERVED + "2\t5\tREPLACE %20dog\n",
          "line 4: 'REPLACE %20dog' is not a char rule"),
-        (CHAR_HEADER + "0\t0\tUNCORRECTABLE\n1\t0\tCHAR del@e1\n", "entry 1 must be keep"),
-        (CHAR_HEADER + RESERVED + "3\t1\tCHAR del@e1\n", "entry ids must be dense"),
+        (CHAR_HEADER + "0\t0\tUNCORRECTABLE\n1\t0\tCHAR del@e1\n", "line 3: entry 1 must be keep"),
+        (CHAR_HEADER + RESERVED + "3\t1\tCHAR del@e1\n", "line 4: entry ids must be dense"),
         (CHAR_HEADER + RESERVED + "2\t2\tCHAR del@e1\n3\t1\tCHAR del@e1\n",
-         "dictionary entries must be unique"),
+         "line 5: dictionary entries must be unique"),
     ],
     ids=["char-rule-in-string-dict", "string-rule-in-char-dict", "entry-1-not-keep",
          "ids-not-dense", "duplicate-entry"],

@@ -1,7 +1,10 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import gecxform
 from gecxform.corpus import (
     NONE_FIELD,
     CorruptionConfig,
@@ -184,6 +187,33 @@ def test_load_corpus_dispatches_on_extension(tmp_path):
     tsv.write_text("a\tb\n", encoding="utf-8")
     assert load_corpus(m2)[0].gold == "c b"
     assert load_corpus(tsv)[0].gold == "b"
+
+
+def test_load_corpus_reads_every_newline_as_open_does(tmp_path):
+    path = tmp_path / "crlf.tsv"
+    path.write_bytes(b"a\tb\r\nc\td\re\tf\n")
+    assert [(p.source, p.gold) for p in load_corpus(path)] == [("a", "b"), ("c", "d"), ("e", "f")]
+    path.write_bytes(b"a\tb\r\nc\td\r\xff\tf\n")
+    with pytest.raises(FormatError, match="crlf.tsv: line 3: not UTF-8"):
+        load_corpus(path)
+
+
+def test_input_files_are_read_in_one_function():
+    # every reader goes through corpus.load_text, so that each decodes,
+    # NFC-normalizes and locates its errors alike; the manifest digests raw bytes
+    # and strip_diacritics recomposes text
+    reads = ("read_text(", "read_bytes(", "open(", 'normalize("NFC"')
+    found = set()
+    for path in sorted(Path(gecxform.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        defs = [n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.FunctionDef)]
+        for lineno, line in enumerate(source.splitlines(), 1):
+            if any(call in line for call in reads):
+                owner = next((d.name for d in defs if d.lineno <= lineno <= d.end_lineno), None)
+                found.add((path.name, owner))
+    assert found == {
+        ("corpus.py", "load_text"), ("cli.py", "_write_output"), ("textnorm.py", "strip_diacritics")
+    }
 
 
 # --- corruption ----------------------------------------------------------------
