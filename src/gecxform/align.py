@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add
 from typing import Sequence
 
 from .textnorm import alignment_normalize, alignment_normalized_view
@@ -134,10 +136,11 @@ def _prepare(subwords: Sequence[str], gold: str):
     if not gold:
         raise ValueError("alignment requires non-empty gold text")
     lead_gold = WORD_LEAD + gold
-    view = alignment_normalized_view(lead_gold)
+    folds: dict[str, str] = {}
+    view = alignment_normalized_view(lead_gold, folds)
     if not view.normalized.strip():
         raise AlignmentError("gold text contains only whitespace")
-    normed = [alignment_normalize(t) for t in subwords]
+    normed = [alignment_normalize(t, folds) for t in subwords]
     return lead_gold, view, normed
 
 
@@ -169,12 +172,14 @@ def _solve_dp(normed: list[str], g: str, bounded: bool):
 
     Rows run from the last subword back; ``w_next[e]`` is the best weight of
     the later subwords over ``g[e:]``, and ``_row`` computes the row of one
-    subword. Each row is kept as an ``array('d')``; the spans are recovered
-    from them afterwards. A subword at offset ``j`` is skipped when its row
-    holds the same value as the next row there, else it takes the first end
-    ``e`` whose ``span_cost`` plus ``w_next[e]`` gives that value. These are
-    the tie rules: a span must beat skipping, and a longer span must beat a
-    shorter one.
+    subword. Row ``i`` is exact at the offsets up to ``reach[i]``, the sum of
+    the earlier subwords' span bounds, which are all that a cover from offset
+    0 can give it. Each row is kept as an ``array('d')``; the spans are
+    recovered from them afterwards. A subword at offset ``j`` is skipped when
+    its row holds the same value as the next row there, else it takes the
+    first end ``e`` whose ``span_cost`` plus ``w_next[e]`` gives that value.
+    These are the tie rules: a span must beat skipping, and a longer span must
+    beat a shorter one.
     """
     m = len(g)
     # nonspace[j]: the first offset at or after j that is not a space
@@ -186,12 +191,14 @@ def _solve_dp(normed: list[str], g: str, bounded: bool):
     runs = [(j, nonspace[j] - j) for j in range(m) if g[j] == " " and (j == 0 or g[j - 1] != " ")]
     # lanes at spaces start no span; +inf lets the cut drop them
     lanes = [_INF if ch == " " else _NEG for ch in g] + [_NEG]
-    tables: dict[tuple[int, int], list[float]] = {}
+    alphabet = set(map(ord, g))
+    tables: dict[int, list[list[float]]] = {}
+    limits = [span_length_bound(len(s)) if bounded else m for s in normed]
+    reach = accumulate(limits, initial=0)
 
     rows = [array("d", [0.0 if nonspace[j] == m else _NEG for j in range(m + 1)])]
-    for s in reversed(normed):
-        limit = span_length_bound(len(s)) if bounded else m
-        rows.append(_row(s, g, rows[-1], limit, nonspace, runs, lanes, tables))
+    for s, limit, start in reversed(list(zip(normed, limits, reach))):
+        rows.append(_row(s, g, rows[-1], limit, min(m, start), nonspace, runs, lanes, alphabet, tables))
     if rows[-1][0] == _NEG:
         return None
     rows.reverse()
@@ -210,106 +217,50 @@ def _solve_dp(normed: list[str], g: str, bounded: bool):
 
 def _advance(best: list[float], table: list[float], dists, tails: list[float]) -> list[float]:
     """One step of running maxima: lane ``p`` takes ``table[dists[p]] + tails[p]`` if larger."""
-    costs = map(table.__getitem__, dists)
-    return [x if x >= (y := c + f) else y for x, c, f in zip(best, costs, tails)]
+    return [x if x >= (y := table[c] + f) else y for x, c, f in zip(best, dists, tails)]
 
 
-def _row(
-    s: str,
-    g: str,
-    w_next: array,
-    limit: int,
-    nonspace: list[int],
-    runs: list[tuple[int, int]],
-    lanes: list[float],
-    tables: dict[tuple[int, int], list[float]],
-) -> array:
-    """Best weight at every start offset for subword ``s`` followed by ``w_next``.
+def _advance2(best, table, dists, tails, table2, dists2, tails2) -> list[float]:
+    """Two steps of ``_advance`` in one pass over the lanes."""
+    return [
+        (x if x >= (z := table2[c2] + f2) else z)
+        if x >= (y := table[c] + f)
+        else (y if y >= (z := table2[c2] + f2) else z)
+        for x, c, f, c2, f2 in zip(best, dists, tails, dists2, tails2)
+    ]
 
-    A start ``j`` may skip ``s`` (``w_next[j]``) or give it a span ``g[j:e]``
-    with ``nonspace[j] < e <= j + limit``. Such a span costs ``span_cost``:
-    1.0 for an exact match (found with ``g.find``), else a function of the
-    edit distance between the stripped subword and ``g[p:e']``, where
-    ``p = nonspace[j]`` and ``e'`` is ``e`` less its trailing spaces.
 
-    **Lanes.** The distances of all starts ``p`` advance together, one gold
-    character per step: lane ``p`` of a Python int holds the Myers (1999)
-    bit vectors ``vp``/``vn`` of start ``p``, with the global-distance
-    boundary of Hyyro (2003), so about a dozen big-int operations advance
-    every lane by one character. A lane is ``8 * B`` bits wide, ``B`` a power
-    of two with ``8 * B > ls``: one guard bit takes the carry of the
-    addition, and the lanes come out through ``int.to_bytes``. After ``t``
+def _steps(stripped: str, text: str, n: int, alphabet: set[int], costs: list[list[float]]):
+    """Per character of ``text``: the cost table of the step and the count of each of ``n`` lanes.
+
+    Lane ``p`` of a Python int holds the Myers (1999) bit vectors ``vp``/``vn``
+    of a span that starts at ``text[p]``, with the global-distance boundary of
+    Hyyro (2003), so about a dozen big-int operations advance every lane by
+    one character. A lane is ``8 * B`` bits wide, ``B`` a power of two with
+    ``8 * B > ls``: one guard bit takes the carry of the addition, and the
+    lanes come out through ``int.to_bytes``. The match masks of all lanes
+    are one ``str.translate`` of ``text``: each character becomes ``B``
+    latin-1 bytes, zero for a character not in the subword. After ``t``
     characters the distance ``d`` of a lane lies in ``[|t - ls|, max(t,
-    ls)]``; the lanes count ``d - |t - ls|``, which lies in ``[0, ls]``, and
-    a table built with ``_stripped_cost`` maps it to the cost of step ``t``.
-    The running best of every lane is one list, replaced by one
-    comprehension per step (``_advance``); nothing of a step outlives it.
-
-    **Fold.** An end just after a space costs what the end before the space
-    costs, so a run of spaces is folded into the end before it:
-    ``folds[l][e]`` is the best ``w_next`` over ``e`` and the first ``l``
-    spaces after it, and ``-inf`` at an end after a space. The fold must not
-    reach past the cap ``j + limit``, so a step ``l`` steps before the cap
-    uses ``folds[l]`` (``folds[longest]``, all of every run, before that).
-    A start ``d`` spaces before its lane has a cap ``d`` steps earlier: once
-    that cap is within ``longest`` steps, it forks its own copy of the
-    lane's running best (a track), which goes on with its own folds.
-
-    **Cut.** Once a span is longer than the stripped subword (``glen > ls``)
-    it costs at most ``0.5 * ls / glen``, so with ``sufmax[e]``, the best
-    tail at ``e`` or later, no later end of a lane can give more than
-    ``0.5 * ls / glen + sufmax[e]``. Lanes whose bound is below their best by
-    more than 1e-9 (so a tie is never cut) leave the window of live lanes at
-    either end, and the steps stop when it is empty. A lane that no end with
-    a finite tail can reach never enters it. The cut stops once a track
-    forks, which in the unbounded retry (every cap at the end of ``g``)
-    happens only in the last steps, when few lanes are left.
+    ls)]``; the lanes count ``d - |t - ls|``, in ``[0, ls]``, and
+    ``costs[t]`` maps the count to the cost of step ``t``: the float of
+    ``_stripped_cost``, computed without calling it. ``costs`` is shared by
+    the subwords of one alignment with the same ``ls``.
     """
-    m = len(g)
-    ns = len(s)
-    stripped = s.strip()
     ls = len(stripped)
-    nsteps = min(limit, m)
-    longest = max((n for _, n in runs), default=0)
-    w_next = w_next.tolist()  # one float object per offset, shared by the copies below
-    sufmax = w_next + [_NEG]
-    x = _NEG
-    for e in range(m, -1, -1):
-        if sufmax[e] < x:
-            sufmax[e] = x
-        else:
-            x = sufmax[e]
-    fold = w_next[:]
-    for q, n in runs:
-        fold[q + 1 : q + n + 1] = [_NEG] * n
-    folds = [fold]
-    for l in range(1, longest + 1):
-        fold = fold[:]
-        for q, n in runs:
-            if n >= l and w_next[q + l] > fold[q]:
-                fold[q] = w_next[q + l]
-        folds.append(fold)
-
     B = 1
     while 8 * B <= ls:
         B *= 2
     W = 8 * B
-    low = int.from_bytes((b"\x01" + bytes(B - 1)) * m, "little")
+    low = int.from_bytes((b"\x01" + bytes(B - 1)) * n, "little")
     mask = low * ((1 << ls) - 1)
     high = low << (ls - 1) if ls else 0
-    zero = bytes(B)
-    peq = {ch: v.to_bytes(B, "little") for ch, v in _peq(stripped).items()}
-    eqs = int.from_bytes(b"".join([peq.get(ch, zero) for ch in g]), "little")
+    masks = dict.fromkeys(alphabet, "\0" * B)
+    for ch, v in _peq(stripped).items():
+        masks[ord(ch)] = v.to_bytes(B, "little").decode("latin-1")
+    eqs = int.from_bytes(text.translate(masks).encode("latin-1"), "little")
     vp, vn, r = mask, 0, 0
-    best = lanes[:]
-    tracks: dict[int, list[float]] = {}
-    half_ls = 0.5 * ls
-    lo = max(0, next((e for e, x in enumerate(folds[-1]) if x != _NEG), m + nsteps) - nsteps)
-    hi = m
-    for k in range(nsteps):
-        hi = min(hi, m - k)  # lanes whose end p + k + 1 is still in g
-        if lo >= hi:
-            break
+    for k in range(len(text)):
         if ls:
             eq = eqs >> (k * W)
             xv = eq | vn
@@ -321,23 +272,151 @@ def _row(
             vp = ((hn << 1) | ~(xv | hp)) & mask
             vn = hp & xv
         t = k + 1
-        table = tables.get((ls, t))
-        if table is None:
-            table = tables[ls, t] = [_stripped_cost(x + abs(t - ls), ls, t) for x in range(ls + 1)]
-        rb = r.to_bytes(m * B, "little")
+        if t == len(costs):
+            top = t if t > ls else ls
+            gap = 2 * top - t - ls  # |t - ls|
+            costs.append([0.5 * (1.0 - d / top) if d else 0.75 for d in range(gap, gap + ls + 1)])
+        rb = r.to_bytes(n * B, "little")
         if ls < 256:  # the count fits the low byte of its lane
-            dists = rb[lo * B : hi * B : B]
+            yield costs[t], rb[::B]
         else:
-            dists = [int.from_bytes(rb[i : i + B], "little") for i in range(lo * B, hi * B, B)]
-        for d in range(1, longest + 1):
-            l = limit - 1 - d - k  # spaces left before the cap of a start d before its lane
-            if 0 <= l < longest:
-                track = tracks.get(d)
-                if track is None:
-                    track = tracks[d] = best[:]
-                track[lo:hi] = _advance(track[lo:hi], table, dists, folds[l][lo + t : hi + t])
-        fold = folds[min(limit - 1 - k, longest)]
-        best[lo:hi] = _advance(best[lo:hi], table, dists, fold[lo + t : hi + t])
+            yield costs[t], [int.from_bytes(rb[i : i + B], "little") for i in range(0, n * B, B)]
+
+
+def _row(
+    s: str,
+    g: str,
+    w_next: array,
+    limit: int,
+    reach: int,
+    nonspace: list[int],
+    runs: list[tuple[int, int]],
+    lanes: list[float],
+    alphabet: set[int],
+    tables: dict[int, list[list[float]]],
+) -> array:
+    """Best weight at every start offset up to ``reach`` for subword ``s`` followed by ``w_next``.
+
+    A start ``j`` may skip ``s`` (``w_next[j]``) or give it a span ``g[j:e]``
+    with ``nonspace[j] < e <= j + limit``. Such a span costs ``span_cost``:
+    1.0 for an exact match (found with ``g.find``), else a function of the
+    edit distance between the stripped subword and ``g[p:e']``, where
+    ``p = nonspace[j]`` and ``e'`` is ``e`` less its trailing spaces.
+
+    **Reach.** A cover from offset 0 gives subword ``i`` a start of at most
+    ``reach``, the sum of the span bounds of the subwords before it, so only
+    lanes up to ``nonspace[reach]`` run. The previous row reads this one at
+    its own starts and at their ends, all at most its reach plus its bound,
+    which is this row's ``reach``; no value it reads is lost. Offsets past
+    ``reach`` keep ``w_next`` or an exact match. The unbounded retry, where
+    each bound is all of ``g``, prunes only the first row.
+
+    **Lanes.** The distances of all starts ``p`` advance together, one gold
+    character per step: lane ``p`` of a Python int holds the Myers (1999)
+    bit vectors ``vp``/``vn`` of start ``p``, with the global-distance
+    boundary of Hyyro (2003), so about a dozen big-int operations advance
+    every lane by one character. A lane is ``8 * B`` bits wide, ``B`` a power
+    of two with ``8 * B > ls``: one guard bit takes the carry of the
+    addition, and the lanes come out through ``int.to_bytes``. The gold's
+    per-lane match masks are one ``str.translate`` of ``g``, every character
+    to ``B`` latin-1 bytes. After ``t`` characters the distance ``d`` of a
+    lane lies in ``[|t - ls|, max(t, ls)]``; the lanes count ``d - |t -
+    ls|``, which lies in ``[0, ls]``, and a cost table per ``(ls, t)`` maps it
+    to the cost of step ``t``, the same float that ``span_cost`` gives. The
+    running best of every lane is one list, replaced by one comprehension
+    per pass (``_advance``); nothing of a pass outlives it.
+
+    **Fold.** An end just after a space costs what the end before the space
+    costs, so a run of spaces is folded into the end before it:
+    ``folds[l][e]`` is the best ``w_next`` over ``e`` and the first ``l``
+    spaces after it, and ``-inf`` at an end after a space. The fold must not
+    reach past the cap ``j + limit``, so a step ``l`` steps before the cap
+    uses ``folds[l]`` (``folds[longest]``, all of every run, before that).
+    A start ``d`` spaces before its lane has a cap ``d`` steps earlier: once
+    that cap is within ``longest`` steps, it forks its own copy of the
+    lane's running best (a track), which goes on with its own folds.
+
+    **Two characters per pass.** While no cap is within ``longest`` steps
+    of either of two steps, no track can fork and both use
+    ``folds[longest]``, so the bit vectors advance twice and one
+    comprehension (``_advance2``) takes both steps. The last lane of the
+    first step may have no second step; it reads the ``-inf`` that pads each
+    fold, and ``hi`` narrows for the second step before the cut reads it.
+
+    **Cut.** Once a span is longer than the stripped subword (``glen > ls``)
+    it costs at most ``0.5 * ls / glen``, so with ``sufmax[e]``, the best
+    tail at ``e`` or later, no later end of a lane can give more than
+    ``0.5 * ls / glen + sufmax[e]``. Lanes whose bound is below their best by
+    more than 1e-9 (so a tie is never cut) leave the window of live lanes at
+    either end, and the steps stop when it is empty. The cut runs after each
+    pass, so a lane may stay one step longer than it needs, which is sound:
+    a lane that the cut can drop cannot rise. A lane that no end with a
+    finite tail can reach never enters the window. The cut stops once a
+    track forks, which in the unbounded retry (every cap at the end of
+    ``g``) happens only in the last steps, when few lanes are left.
+    """
+    m = len(g)
+    ns = len(s)
+    stripped = s.strip()
+    ls = len(stripped)
+    nsteps = min(limit, m)
+    longest = max((n for _, n in runs), default=0)
+    forks = limit - 2 * longest  # the first step at which a track may fork
+    fused = min(forks, nsteps)
+    w_next = w_next.tolist()  # one float object per offset, shared by the copies below
+    sufmax = w_next + [_NEG]
+    x = _NEG
+    for e in range(m, -1, -1):
+        if sufmax[e] < x:
+            sufmax[e] = x
+        else:
+            x = sufmax[e]
+    fold = w_next + [_NEG]
+    for q, n in runs:
+        fold[q + 1 : q + n + 1] = [_NEG] * n
+    folds = [fold]
+    for l in range(1, longest + 1):
+        fold = fold[:]
+        for q, n in runs:
+            if n >= l and w_next[q + l] > fold[q]:
+                fold[q] = w_next[q + l]
+        folds.append(fold)
+
+    best = lanes[:]
+    tracks: dict[int, list[float]] = {}
+    half_ls = 0.5 * ls
+    lo = max(0, next((e for e, x in enumerate(fold) if x != _NEG), m + nsteps) - nsteps)
+    hi = min(m, nonspace[reach] + 1)
+    base = lo
+    steps = _steps(stripped, g[lo : hi + nsteps - 1], hi - lo, alphabet, tables.setdefault(ls, [[]]))
+    k = 0
+    while k < nsteps:
+        hi = min(hi, m - k)  # lanes whose end p + k + 1 is still in g
+        if lo >= hi:
+            break
+        table, counts = next(steps)
+        t = k + 1
+        if t < fused:  # steps k and k + 1 in one pass
+            table2, counts2 = next(steps)
+            best[lo:hi] = _advance2(
+                best[lo:hi], table, counts[lo - base : hi - base], fold[lo + t : hi + t],
+                table2, counts2[lo - base : hi - base], fold[lo + t + 1 : hi + t + 1],
+            )
+            k = t
+            t += 1
+            hi = min(hi, m - k)
+        else:
+            dists = counts[lo - base : hi - base]
+            if k >= forks:
+                for d in range(1, longest + 1):
+                    l = limit - 1 - d - k  # spaces left before the cap of a start d before its lane
+                    if 0 <= l < longest:
+                        track = tracks.get(d)
+                        if track is None:
+                            track = tracks[d] = best[:]
+                        track[lo:hi] = _advance(track[lo:hi], table, dists, folds[l][lo + t : hi + t])
+            tails = folds[min(limit - 1 - k, longest)][lo + t : hi + t]
+            best[lo:hi] = _advance(best[lo:hi], table, dists, tails)
         if t + 1 > ls and not tracks:
             # drop finished lanes from both ends of the window
             bound = half_ls / (t + 1)
@@ -345,22 +424,25 @@ def _row(
                 lo += 1
             while lo < hi and bound + sufmax[hi + t] < best[hi - 1] - 1e-9:
                 hi -= 1
+        k += 1
 
-    del sufmax, folds, fold
+    del sufmax, folds, fold, steps
     # from lanes to starts: a start at a space takes its lane's value
-    for q, n in runs:
-        p = q + n
-        best[q:p] = [best[p]] * n
-        for d, track in tracks.items():
-            if n >= d:
-                best[p - d] = track[p]
-        if n >= limit:  # the caps of the first starts end before their lane
-            best[q : p - limit + 1] = [_NEG] * (n - limit + 1)
+    row = [x if x >= (y := best[p]) else y for x, p in zip(w_next, nonspace)]
+    if tracks or longest >= limit:
+        for q, n in runs:
+            p = q + n
+            for d, track in tracks.items():
+                if n >= d:
+                    x = w_next[p - d]
+                    row[p - d] = x if x >= track[p] else track[p]
+            if n >= limit:  # the caps of the first starts end before their lane
+                row[q : p - limit + 1] = w_next[q : p - limit + 1]
     if ls:
         j = g.find(s)
         while j >= 0:
             exact = 1.0 + w_next[j + ns]
-            if exact > best[j]:
-                best[j] = exact
+            if exact > row[j]:
+                row[j] = exact
             j = g.find(s, j + 1)
-    return array("d", [x if x >= y else y for x, y in zip(w_next, best)])
+    return array("d", row)

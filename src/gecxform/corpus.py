@@ -59,9 +59,12 @@ class SentencePair:
     gold_edits: tuple[GoldEdit, ...] = ()
 
 
-def _check_overlaps(edits: list[GoldEdit]) -> None:
+def _check_edits(edits: list[GoldEdit], n_tokens: int) -> None:
+    """Every annotator's edits lie within the ``n_tokens`` source tokens and do not overlap."""
     by_annotator: dict[int, list[GoldEdit]] = {}
     for e in edits:
+        if e.end_token > n_tokens:
+            raise FormatError(f"edit span {e.start_token}..{e.end_token} exceeds {n_tokens} tokens")
         by_annotator.setdefault(e.annotator, []).append(e)
     for annotator, group in by_annotator.items():
         ordered = sorted(group, key=lambda e: (e.start_token, e.end_token))
@@ -75,13 +78,12 @@ def _check_overlaps(edits: list[GoldEdit]) -> None:
 
 
 def replay_edits(source_tokens: list[str], edits: list[GoldEdit]) -> list[str]:
-    """Apply edits right-to-left over the token list and return the result."""
+    """Apply edits right-to-left over the token list and return the result.
+
+    The edits lie within the tokens and do not overlap, as ``parse_m2`` checks.
+    """
     tokens = list(source_tokens)
     for e in sorted(edits, key=lambda e: (e.start_token, e.end_token), reverse=True):
-        if e.end_token > len(tokens):
-            raise FormatError(
-                f"edit span {e.start_token}..{e.end_token} exceeds {len(tokens)} tokens"
-            )
         tokens[e.start_token : e.end_token] = e.correction.split()
     return tokens
 
@@ -104,12 +106,12 @@ def parse_m2(text: str, annotator: int = 0) -> list[SentencePair]:
         nonlocal source, edits
         if source is None:
             return
+        tokens = source.split()
         try:
-            _check_overlaps(edits)
-            selected = [e for e in edits if e.annotator == annotator]
-            gold = " ".join(replay_edits(source.split(), selected))
+            _check_edits(edits, len(tokens))
         except FormatError as exc:
             raise FormatError(f"block at line {start_line}: {exc}") from None
+        gold = " ".join(replay_edits(tokens, [e for e in edits if e.annotator == annotator]))
         pairs.append(SentencePair(source, gold, tuple(edits)))
         source = None
         edits = []

@@ -40,8 +40,11 @@ def strip_diacritics(text: str) -> str:
     """Drop all combining marks after canonical decomposition, then recompose.
 
     Base letters are preserved in order; standalone combining marks vanish.
-    Idempotent.
+    Idempotent. ASCII text is returned as it is: it has no combining marks and
+    no decompositions.
     """
+    if text.isascii():
+        return text
     decomposed = unicodedata.normalize("NFD", text)
     kept = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
     return unicodedata.normalize("NFC", kept)
@@ -75,31 +78,29 @@ class NormalizedView:
         return cuts
 
 
-def alignment_normalized_view(text: str) -> NormalizedView:
-    """Fold ``text`` for alignment, keeping a map back to original offsets.
+def alignment_normalized_view(text: str, folds: dict[str, str]) -> NormalizedView:
+    """:func:`alignment_normalize` of ``text``, keeping a map back to original offsets."""
+    normalized = alignment_normalize(text, folds)
+    provenance = tuple([idx for idx, ch in enumerate(text) for _ in folds[ch]])
+    return NormalizedView(text, normalized, provenance)
+
+
+def alignment_normalize(text: str, folds: dict[str, str]) -> str:
+    """Fold ``text`` for alignment, one character at a time. Idempotent.
 
     Lowercases, strips diacritics, folds every punctuation character to
     :data:`PUNCT_PLACEHOLDER` and every whitespace character to a single space.
+    ``folds`` memoizes the fold of each character; texts folded together
+    share one.
     """
-    out: list[str] = []
-    prov: list[int] = []
-    for idx, ch in enumerate(text):
+    for ch in set(text).difference(folds):
         if ch.isspace():
-            out.append(" ")
-            prov.append(idx)
+            folds[ch] = " "
         elif is_alignment_punct(ch):
-            out.append(PUNCT_PLACEHOLDER)
-            prov.append(idx)
+            folds[ch] = PUNCT_PLACEHOLDER
         else:
-            for folded in strip_diacritics(ch).lower():
-                out.append(folded)
-                prov.append(idx)
-    return NormalizedView(text, "".join(out), tuple(prov))
-
-
-def alignment_normalize(text: str) -> str:
-    """Alignment view of ``text`` without provenance. Idempotent."""
-    return alignment_normalized_view(text).normalized
+            folds[ch] = strip_diacritics(ch).lower()
+    return "".join(map(folds.__getitem__, text))
 
 
 def case_diff(lowercased: str, target: str) -> list[int]:

@@ -421,7 +421,7 @@ def tight_instances(draw):
     """
     pieces = st.sampled_from([" a", "b", " ab", ".", " xy", "  a", " ba"])
     subwords = draw(st.lists(pieces, min_size=2, max_size=5))
-    reach = sum(span_length_bound(len(alignment_normalize(s))) for s in subwords)
+    reach = sum(span_length_bound(len(alignment_normalize(s, {}))) for s in subwords)
     gold = draw(st.text("ab xá.", min_size=reach - 6, max_size=reach - 1))
     return subwords, gold + draw(st.sampled_from("abx."))
 
@@ -442,7 +442,7 @@ def retry_instances(draw):
             max_size=3,
         )
     )
-    reach = sum(span_length_bound(len(alignment_normalize(s))) for s in subwords)
+    reach = sum(span_length_bound(len(alignment_normalize(s, {}))) for s in subwords)
     body = draw(st.text("ab xá.", min_size=reach, max_size=reach + 40))
     return subwords, body + draw(st.sampled_from("abx."))
 

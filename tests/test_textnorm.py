@@ -50,17 +50,17 @@ def test_standalone_marks_are_dropped():
 
 
 def test_alignment_normalize_examples():
-    assert alignment_normalize("Gathe") == "gathe"
-    folded = alignment_normalize("!?")
+    assert alignment_normalize("Gathe", {}) == "gathe"
+    folded = alignment_normalize("!?", {})
     assert len(folded) == 2 and folded[0] == folded[1]
-    assert alignment_normalize("Škoda,") == "skoda" + alignment_normalize(",")
+    assert alignment_normalize("Škoda,", {}) == "skoda" + alignment_normalize(",", {})
 
 
 def test_alignment_normalize_punctuation_classes():
     # currency and math symbols fold like ordinary punctuation
-    assert alignment_normalize("€") == alignment_normalize("!")
-    assert alignment_normalize("+") == alignment_normalize(".")
-    assert alignment_normalize("\t") == " "
+    assert alignment_normalize("€", {}) == alignment_normalize("!", {})
+    assert alignment_normalize("+", {}) == alignment_normalize(".", {})
+    assert alignment_normalize("\t", {}) == " "
 
 
 def test_alignment_normalize_idempotent_and_length_preserving():
@@ -68,21 +68,21 @@ def test_alignment_normalize_idempotent_and_length_preserving():
     plain = "abcKPR con .,!? +€ xyz"
     for _ in range(300):
         text = "".join(rng.choice(plain) for _ in range(rng.randint(0, 15)))
-        once = alignment_normalize(text)
-        assert alignment_normalize(once) == once
+        once = alignment_normalize(text, {})
+        assert alignment_normalize(once, {}) == once
         assert len(once) == len(text)
     # idempotence also holds for combining-sequence inputs
     for _ in range(300):
         text = "".join(rng.choice(MIXED_ALPHABET) for _ in range(rng.randint(0, 15)))
-        once = alignment_normalize(text)
-        assert alignment_normalize(once) == once
+        once = alignment_normalize(text, {})
+        assert alignment_normalize(once, {}) == once
 
 
 def test_normalized_view_provenance_monotone():
     rng = random.Random(14)
     for _ in range(200):
         text = "".join(rng.choice(MIXED_ALPHABET) for _ in range(rng.randint(0, 15)))
-        view = alignment_normalized_view(text)
+        view = alignment_normalized_view(text, {})
         assert list(view.provenance) == sorted(view.provenance)
         assert len(view.normalized) <= len(text) + 0  # marks may only shrink it
         cuts = view.boundaries()
