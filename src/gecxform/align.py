@@ -8,22 +8,24 @@ space so that its words carry the same leading-space convention as the
 subwords.
 
 The dynamic program is exact and pure Python; it runs one row per subword,
-from the last one back (``_solve_dp``). Within a row, every start offset is a
-lane of one Python int, and each gold character advances the bit-parallel
-edit distance (Myers 1999; Hyyro 2003 for the global distance) of all lanes
-at once (``_row``). Spans that end in spaces are folded into the span before
-the spaces, and a lane stops once its weight, at most ``0.5 * ls / glen``
-(trimmed lengths ``ls`` of the subword and ``glen`` of the span), plus the
-best weight left after it cannot reach its best span. Each row is kept, and
-the spans are read back from the rows with ``span_cost``.
-"""
+from the last one back (``_solve_dp``), and a row covers only the starts that
+the earlier subwords' span bounds can reach. Within a row, every start offset
+is a lane of one Python int, and each gold character advances the
+bit-parallel edit distance (Myers 1999; Hyyro 2003 for the global distance)
+of all lanes at once (``_steps``); a cost table per subword length and step
+turns the lanes' distances into weights. One pass over the lanes takes two
+gold characters wherever no span bound is near (``_row``). Spans that end in
+spaces are folded into the span before the spaces, and a lane stops once its
+weight, at most ``0.5 * ls / glen`` (trimmed lengths ``ls`` of the subword
+and ``glen`` of the span), plus the best weight left after it cannot reach
+its best span. Each row is kept, and the spans are read back from the rows
+with ``span_cost``."""
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import add
 from typing import Sequence
 
 from .textnorm import alignment_normalize, alignment_normalized_view
@@ -221,7 +223,7 @@ def _advance(best: list[float], table: list[float], dists, tails: list[float]) -
 
 
 def _advance2(best, table, dists, tails, table2, dists2, tails2) -> list[float]:
-    """Two steps of ``_advance`` in one pass over the lanes."""
+    """``_advance`` by two steps, in one pass over the lanes."""
     return [
         (x if x >= (z := table2[c2] + f2) else z)
         if x >= (y := table[c] + f)
@@ -230,37 +232,52 @@ def _advance2(best, table, dists, tails, table2, dists2, tails2) -> list[float]:
     ]
 
 
-def _steps(stripped: str, text: str, n: int, alphabet: set[int], costs: list[list[float]]):
-    """Per character of ``text``: the cost table of the step and the count of each of ``n`` lanes.
+def _steps(stripped: str, g: str, lo: int, hi: int, end: int, alphabet: set[int], costs):
+    """Per gold character: the cost table of the step and the counts of the window's lanes.
 
     Lane ``p`` of a Python int holds the Myers (1999) bit vectors ``vp``/``vn``
-    of a span that starts at ``text[p]``, with the global-distance boundary of
+    of the spans that start at ``g[p]``, with the global-distance boundary of
     Hyyro (2003), so about a dozen big-int operations advance every lane by
-    one character. A lane is ``8 * B`` bits wide, ``B`` a power of two with
-    ``8 * B > ls``: one guard bit takes the carry of the addition, and the
-    lanes come out through ``int.to_bytes``. The match masks of all lanes
-    are one ``str.translate`` of ``text``: each character becomes ``B``
-    latin-1 bytes, zero for a character not in the subword. After ``t``
-    characters the distance ``d`` of a lane lies in ``[|t - ls|, max(t,
-    ls)]``; the lanes count ``d - |t - ls|``, in ``[0, ls]``, and
+    one character of ``g[:end]``. A lane is ``8 * B`` bits wide, ``B`` a
+    power of two with ``8 * B > ls``: one guard bit takes the carry of the
+    addition, and the lanes come out through ``int.to_bytes``. The match
+    masks of all lanes are one ``str.translate``: each character becomes
+    ``B`` latin-1 bytes, zero for a character not in the subword. After
+    ``t`` characters the distance ``d`` of a lane lies in ``[|t - ls|,
+    max(t, ls)]``; the lanes count ``d - |t - ls|``, in ``[0, ls]``, and
     ``costs[t]`` maps the count to the cost of step ``t``: the float of
     ``_stripped_cost``, computed without calling it. ``costs`` is shared by
     the subwords of one alignment with the same ``ls``.
+
+    The ints hold the lanes ``lo..hi-1``. Before each step the caller sends
+    the window ``(lo, hi)``, which only narrows; once it holds at most half
+    of the lanes held, the ints drop the others.
     """
     ls = len(stripped)
     B = 1
     while 8 * B <= ls:
         B *= 2
     W = 8 * B
-    low = int.from_bytes((b"\x01" + bytes(B - 1)) * n, "little")
+    low = int.from_bytes((b"\x01" + bytes(B - 1)) * (hi - lo), "little")
     mask = low * ((1 << ls) - 1)
     high = low << (ls - 1) if ls else 0
     masks = dict.fromkeys(alphabet, "\0" * B)
     for ch, v in _peq(stripped).items():
         masks[ord(ch)] = v.to_bytes(B, "little").decode("latin-1")
-    eqs = int.from_bytes(text.translate(masks).encode("latin-1"), "little")
+    eqs = int.from_bytes(g[lo:end].translate(masks).encode("latin-1"), "little")
     vp, vn, r = mask, 0, 0
-    for k in range(len(text)):
+    base, n = lo, hi - lo
+    window = yield
+    for k in range(end - lo):
+        lo, hi = window
+        if 2 * (hi - lo) <= n:
+            shift = (lo - base) * W
+            keep = (1 << ((hi - lo) * W)) - 1
+            vp, vn, r, low = [(x >> shift) & keep for x in (vp, vn, r, low)]
+            eqs >>= shift
+            mask = low * ((1 << ls) - 1)
+            high = low << (ls - 1) if ls else 0
+            base, n = lo, hi - lo
         if ls:
             eq = eqs >> (k * W)
             xv = eq | vn
@@ -277,10 +294,11 @@ def _steps(stripped: str, text: str, n: int, alphabet: set[int], costs: list[lis
             gap = 2 * top - t - ls  # |t - ls|
             costs.append([0.5 * (1.0 - d / top) if d else 0.75 for d in range(gap, gap + ls + 1)])
         rb = r.to_bytes(n * B, "little")
+        a, b = (lo - base) * B, (hi - base) * B
         if ls < 256:  # the count fits the low byte of its lane
-            yield costs[t], rb[::B]
+            window = yield costs[t], rb[a:b:B]
         else:
-            yield costs[t], [int.from_bytes(rb[i : i + B], "little") for i in range(0, n * B, B)]
+            window = yield costs[t], [int.from_bytes(rb[i : i + B], "little") for i in range(a, b, B)]
 
 
 def _row(
@@ -303,28 +321,19 @@ def _row(
     edit distance between the stripped subword and ``g[p:e']``, where
     ``p = nonspace[j]`` and ``e'`` is ``e`` less its trailing spaces.
 
-    **Reach.** A cover from offset 0 gives subword ``i`` a start of at most
+    **Reach.** A cover from offset 0 gives this subword a start of at most
     ``reach``, the sum of the span bounds of the subwords before it, so only
-    lanes up to ``nonspace[reach]`` run. The previous row reads this one at
-    its own starts and at their ends, all at most its reach plus its bound,
-    which is this row's ``reach``; no value it reads is lost. Offsets past
-    ``reach`` keep ``w_next`` or an exact match. The unbounded retry, where
-    each bound is all of ``g``, prunes only the first row.
+    lanes up to ``nonspace[reach]`` run. The previous row reads this one only
+    at its reachable starts and their ends, which lie within its own reach
+    plus its bound: this row's ``reach``. Values past ``reach`` may fall
+    short of the optimum; no read uses them, and ``sufmax`` over them still
+    bounds every tail that a reachable start can take. The unbounded retry,
+    where every bound is all of ``g``, prunes only the first row.
 
-    **Lanes.** The distances of all starts ``p`` advance together, one gold
-    character per step: lane ``p`` of a Python int holds the Myers (1999)
-    bit vectors ``vp``/``vn`` of start ``p``, with the global-distance
-    boundary of Hyyro (2003), so about a dozen big-int operations advance
-    every lane by one character. A lane is ``8 * B`` bits wide, ``B`` a power
-    of two with ``8 * B > ls``: one guard bit takes the carry of the
-    addition, and the lanes come out through ``int.to_bytes``. The gold's
-    per-lane match masks are one ``str.translate`` of ``g``, every character
-    to ``B`` latin-1 bytes. After ``t`` characters the distance ``d`` of a
-    lane lies in ``[|t - ls|, max(t, ls)]``; the lanes count ``d - |t -
-    ls|``, which lies in ``[0, ls]``, and a cost table per ``(ls, t)`` maps it
-    to the cost of step ``t``, the same float that ``span_cost`` gives. The
-    running best of every lane is one list, replaced by one comprehension
-    per pass (``_advance``); nothing of a pass outlives it.
+    **Lanes.** The distances of all starts ``p`` in the window advance
+    together, one gold character per step (``_steps``), and the running best
+    of every lane is one list, replaced by one comprehension per pass
+    (``_advance``); nothing of a pass outlives it.
 
     **Fold.** An end just after a space costs what the end before the space
     costs, so a run of spaces is folded into the end before it:
@@ -387,26 +396,25 @@ def _row(
     half_ls = 0.5 * ls
     lo = max(0, next((e for e, x in enumerate(fold) if x != _NEG), m + nsteps) - nsteps)
     hi = min(m, nonspace[reach] + 1)
-    base = lo
-    steps = _steps(stripped, g[lo : hi + nsteps - 1], hi - lo, alphabet, tables.setdefault(ls, [[]]))
+    steps = _steps(stripped, g, lo, hi, min(m, hi + nsteps - 1), alphabet, tables.setdefault(ls, [[]]))
+    next(steps)
     k = 0
     while k < nsteps:
         hi = min(hi, m - k)  # lanes whose end p + k + 1 is still in g
         if lo >= hi:
             break
-        table, counts = next(steps)
+        table, dists = steps.send((lo, hi))
         t = k + 1
         if t < fused:  # steps k and k + 1 in one pass
-            table2, counts2 = next(steps)
+            table2, dists2 = steps.send((lo, hi))
             best[lo:hi] = _advance2(
-                best[lo:hi], table, counts[lo - base : hi - base], fold[lo + t : hi + t],
-                table2, counts2[lo - base : hi - base], fold[lo + t + 1 : hi + t + 1],
+                best[lo:hi], table, dists, fold[lo + t : hi + t],
+                table2, dists2, fold[lo + t + 1 : hi + t + 1],
             )
             k = t
             t += 1
             hi = min(hi, m - k)
         else:
-            dists = counts[lo - base : hi - base]
             if k >= forks:
                 for d in range(1, longest + 1):
                     l = limit - 1 - d - k  # spaces left before the cap of a start d before its lane

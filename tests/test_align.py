@@ -344,6 +344,9 @@ def test_alignment_span_texts_property():
 # --- the lane-parallel kernel against the reference kernel ---------------------
 
 LETTERS = "abcdeiklmnorstuáčéěřůžABČŘ"
+# Cyrillic and Greek, with letters that fold (ё, й, ά, ΐ) and capitals
+CYRILLIC = "абвгдеёжзийклмнопрстуфхцчшщыьэюяАБЁЙЯ"
+GREEK = "αβγδεζηθικλμνξοπρστυφχψωάέήίόύώΐΑΓΆΩ"
 
 
 def assert_same_as_reference(subwords, gold):
@@ -366,8 +369,8 @@ def _pieces(draw, word):
 
 
 @st.composite
-def large_instances(draw):
-    """Up to 40 subwords against up to 300 gold characters.
+def large_instances(draw, letters=LETTERS):
+    """Up to 40 subwords against up to 300 gold characters, words from ``letters``.
 
     Gold words run to 20 letters (lanes of 16 and 32 bits), with diacritics,
     capitals, punctuation, runs of two or three spaces and runs longer than
@@ -378,8 +381,8 @@ def large_instances(draw):
     words = draw(
         st.lists(
             st.one_of(
-                st.text(LETTERS, min_size=1, max_size=7),
-                st.text(LETTERS, min_size=8, max_size=20),
+                st.text(letters, min_size=1, max_size=7),
+                st.text(letters, min_size=8, max_size=20),
                 st.sampled_from(".,!?"),
             ),
             min_size=8,
@@ -397,9 +400,9 @@ def large_instances(draw):
             continue
         if op == "edit":
             k = draw(st.integers(0, len(word) - 1))
-            word = word[:k] + draw(st.sampled_from(LETTERS)) + word[k + 1 :]
+            word = word[:k] + draw(st.sampled_from(letters)) + word[k + 1 :]
         if op == "extra":
-            subwords.append(" " + draw(st.text(LETTERS, min_size=1, max_size=5)))
+            subwords.append(" " + draw(st.text(letters, min_size=1, max_size=5)))
         subwords += _pieces(draw, word)
         if draw(st.integers(0, 9)) == 0:
             subwords.append(draw(st.sampled_from(["\u0301", " \u0301"])))
@@ -487,3 +490,88 @@ def test_align_matches_reference_kernel_beyond_one_byte_counts():
     word = "".join(rng.choice("abcde") for _ in range(280))
     other = "".join(rng.choice("vwxyz") for _ in range(280))
     assert_same_as_reference([" " + word, " zz"], other + " " + word[:9] + "zz")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(large_instances(CYRILLIC + GREEK + "ab"))
+def test_align_matches_reference_kernel_on_cyrillic_and_greek(instance):
+    # most gold characters are missing from any one subword: zero match masks
+    assert_same_as_reference(*instance)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([CYRILLIC, GREEK, LETTERS]),
+    st.sampled_from([CYRILLIC, GREEK, LETTERS]),
+    st.randoms(use_true_random=False),
+)
+def test_align_matches_reference_kernel_across_scripts(sub_letters, gold_letters, rng):
+    # subwords of one script against gold of another, or of the same
+    words = ["".join(rng.choice(gold_letters) for _ in range(rng.randint(1, 9))) for _ in range(9)]
+    subwords = [" " + "".join(rng.choice(sub_letters) for _ in range(len(w))) for w in words]
+    assert_same_as_reference(subwords[: rng.randint(1, 9)], " ".join(words))
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(
+    st.text(CYRILLIC + "ab", min_size=256, max_size=270),
+    st.lists(st.tuples(st.integers(0, 255), st.sampled_from(CYRILLIC + "xz")), max_size=12),
+    st.sampled_from(["", " ", "  "]),
+)
+def test_align_matches_reference_kernel_on_a_subword_of_256_or_more(word, edits, gap):
+    # stripped lengths of 256 and more: lanes of 512 bits, counts past one byte
+    chars = list(word)
+    for k, ch in edits:
+        chars[k] = ch
+    gold = "ab" + gap + " " + "".join(chars) + " ba"
+    assert_same_as_reference([" ab", " " + word, " ba"], gold)
+    assert_same_as_reference([" " + word], "".join(chars[:200]))
+
+
+@st.composite
+def reach_instances(draw):
+    """Short leading subwords before long ones, against a gold text much longer
+    than the leading subwords' span bounds, so that the first rows reach only a
+    prefix of the gold text."""
+    lead = draw(st.lists(st.sampled_from([" a", "b", " b", ".", " xy", "á"]), min_size=1, max_size=5))
+    tail = draw(
+        st.lists(st.text("abxyá", min_size=4, max_size=12).map(lambda w: " " + w), min_size=1, max_size=4)
+    )
+    subwords = lead + tail
+    reach = sum(span_length_bound(len(alignment_normalize(s, {}))) for s in lead)
+    words = draw(st.lists(st.text("abxyá.", min_size=1, max_size=12), min_size=4, max_size=16))
+    gold = " ".join(words)
+    return subwords, gold, reach
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(reach_instances())
+def test_align_matches_reference_kernel_where_reach_binds(instance):
+    subwords, gold, reach = instance
+    assert_same_as_reference(subwords, gold)
+
+
+def test_reach_binds_on_a_short_lead():
+    # the third subword starts within 14 + 14 of the 1 + 51 gold characters
+    subwords = [" a", " b", " " + "x" * 12, " " + "y" * 12, " " + "z" * 12]
+    gold = "a b " + " ".join(["x" * 12, "y" * 12, "q" * 4, "z" * 12, "w" * 3])
+    assert sum(span_length_bound(len(s)) for s in subwords[:2]) == 28 and len(gold) == 51
+    assert_same_as_reference(subwords, gold)
+
+
+@st.composite
+def space_run_instances(draw):
+    """Short subwords (small span bounds) against words split by runs of 2 to 5
+    spaces, so that the first step at which a track forks falls among the
+    steps taken two at a time."""
+    subwords = draw(st.lists(st.sampled_from([" a", "b", " ab", ".", "  a", " ba", "á"]), min_size=1, max_size=5))
+    words = draw(st.lists(st.text("abx.", min_size=1, max_size=4), min_size=1, max_size=6))
+    seps = draw(st.lists(st.sampled_from([" ", "  ", "   ", "     "]), min_size=len(words)))
+    gold = "".join(sep + w for sep, w in zip(seps, words))[1:]
+    return subwords, gold
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(space_run_instances())
+def test_align_matches_reference_kernel_across_space_runs_under_small_bounds(instance):
+    assert_same_as_reference(*instance)

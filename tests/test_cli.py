@@ -182,6 +182,23 @@ def test_vocab_tokenizer_without_vocab_exits_2(inputs, tmp_path, capsys):
     assert not out.exists()
 
 
+M2_TWO_ANNOTATORS = (
+    "S a b\nA 0 1|||R|||c|||REQUIRED|||-NONE-|||0\nA 5 6|||R|||d|||REQUIRED|||-NONE-|||1\n"
+)
+
+
+@pytest.mark.parametrize("annotator", ["0", "1"])
+def test_m2_span_past_end_fails_whichever_annotator_is_chosen(tmp_path, capsys, annotator):
+    corpus = tmp_path / "ann.m2"
+    corpus.write_text(M2_TWO_ANNOTATORS, encoding="utf-8")
+    out = tmp_path / "x.dict"
+    code = run("induce", corpus, "--mode", "char-at-word", "--annotator", annotator, "--out", out)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{corpus}: block at line 1: edit span 5..6 exceeds 2 tokens" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 M2_EDIT = "S He go to school .\nA 1 2|||R:VERB|||went|||REQUIRED|||-NONE-|||0\n"
 M2_NOOP = "S He went to school .\nA -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0\n"
 M2_BARE = "S He went to school .\n"

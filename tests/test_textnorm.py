@@ -2,13 +2,17 @@ import random
 import unicodedata
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gecxform.textnorm import (
+    PUNCT_PLACEHOLDER,
     CasingMode,
     alignment_normalize,
     alignment_normalized_view,
     case_diff,
     fold,
+    is_alignment_punct,
     strip_diacritics,
 )
 
@@ -107,3 +111,47 @@ def test_fold_modes():
     assert fold("Kočka", CasingMode.CASED) == "Kočka"
     assert fold("Kočka", CasingMode.UNCASED) == "kocka"
     assert fold("İstanbul", CasingMode.UNCASED) == "istanbul"
+
+
+def view_reference(text):
+    # the fold of one character at a time, without a memo
+    out, prov = [], []
+    for idx, ch in enumerate(text):
+        if ch.isspace():
+            folded = " "
+        elif is_alignment_punct(ch):
+            folded = PUNCT_PLACEHOLDER
+        else:
+            folded = nfd_oracle(ch).lower()
+        out.append(folded)
+        prov += [idx] * len(folded)
+    return "".join(out), tuple(prov)
+
+
+# any code point, with combining marks, whitespace variants and "İ" (whose
+# lowercase is two code points) drawn often
+UNICODE_TEXT = st.text(
+    st.one_of(
+        st.characters(blacklist_categories=("Cs",)),
+        st.sampled_from("\u0301\u0308\u0307\u030c \t\n\x0b\x0c\r\x1c\x85\xa0\u2028\u3000İıẞǅﬁΐё"),
+    ),
+    max_size=20,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(UNICODE_TEXT, min_size=1, max_size=4))
+def test_memoized_view_matches_per_character_reference(texts):
+    folds = {}  # one memo for all texts, as for a pair's gold and its subwords
+    for text in texts:
+        view = alignment_normalized_view(text, folds)
+        assert (view.normalized, view.provenance) == view_reference(text)
+        assert alignment_normalize(text, folds) == view.normalized
+        assert alignment_normalize(text, {}) == view.normalized
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.text(st.characters(max_codepoint=127)))
+def test_strip_diacritics_returns_ascii_text_itself(text):
+    assert strip_diacritics(text) is text
+    assert strip_diacritics(text) == nfd_oracle(text)
