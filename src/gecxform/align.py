@@ -200,7 +200,8 @@ def _solve_dp(normed: list[str], g: str, bounded: bool):
 
     rows = [array("d", [0.0 if nonspace[j] == m else _NEG for j in range(m + 1)])]
     for s, limit, start in reversed(list(zip(normed, limits, reach))):
-        rows.append(_row(s, g, rows[-1], limit, min(m, start), nonspace, runs, lanes, alphabet, tables))
+        row = _row(s, g, rows[-1], limit, min(m, start), nonspace, runs, lanes, alphabet, tables)
+        rows.append(row)
     if rows[-1][0] == _NEG:
         return None
     rows.reverse()
@@ -298,7 +299,8 @@ def _steps(stripped: str, g: str, lo: int, hi: int, end: int, alphabet: set[int]
         if ls < 256:  # the count fits the low byte of its lane
             window = yield costs[t], rb[a:b:B]
         else:
-            window = yield costs[t], [int.from_bytes(rb[i : i + B], "little") for i in range(a, b, B)]
+            counts = [int.from_bytes(rb[i : i + B], "little") for i in range(a, b, B)]
+            window = yield costs[t], counts
 
 
 def _row(
@@ -371,7 +373,7 @@ def _row(
     nsteps = min(limit, m)
     longest = max((n for _, n in runs), default=0)
     forks = limit - 2 * longest  # the first step at which a track may fork
-    fused = min(forks, nsteps)
+    paired = min(forks, nsteps)  # the steps before it go two to a pass
     w_next = w_next.tolist()  # one float object per offset, shared by the copies below
     sufmax = w_next + [_NEG]
     x = _NEG
@@ -396,7 +398,8 @@ def _row(
     half_ls = 0.5 * ls
     lo = max(0, next((e for e, x in enumerate(fold) if x != _NEG), m + nsteps) - nsteps)
     hi = min(m, nonspace[reach] + 1)
-    steps = _steps(stripped, g, lo, hi, min(m, hi + nsteps - 1), alphabet, tables.setdefault(ls, [[]]))
+    costs = tables.setdefault(ls, [[]])
+    steps = _steps(stripped, g, lo, hi, min(m, hi + nsteps - 1), alphabet, costs)
     next(steps)
     k = 0
     while k < nsteps:
@@ -405,7 +408,7 @@ def _row(
             break
         table, dists = steps.send((lo, hi))
         t = k + 1
-        if t < fused:  # steps k and k + 1 in one pass
+        if t < paired:  # steps k and k + 1 in one pass
             table2, dists2 = steps.send((lo, hi))
             best[lo:hi] = _advance2(
                 best[lo:hi], table, dists, fold[lo + t : hi + t],
@@ -422,7 +425,8 @@ def _row(
                         track = tracks.get(d)
                         if track is None:
                             track = tracks[d] = best[:]
-                        track[lo:hi] = _advance(track[lo:hi], table, dists, folds[l][lo + t : hi + t])
+                        tails = folds[l][lo + t : hi + t]
+                        track[lo:hi] = _advance(track[lo:hi], table, dists, tails)
             tails = folds[min(limit - 1 - k, longest)][lo + t : hi + t]
             best[lo:hi] = _advance(best[lo:hi], table, dists, tails)
         if t + 1 > ls and not tracks:
@@ -435,7 +439,7 @@ def _row(
         k += 1
 
     del sufmax, folds, fold, steps
-    # from lanes to starts: a start at a space takes its lane's value
+    # from lanes to starts (a start at a space takes its lane's value), or a skip
     row = [x if x >= (y := best[p]) else y for x, p in zip(w_next, nonspace)]
     if tracks or longest >= limit:
         for q, n in runs:
