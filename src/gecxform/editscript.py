@@ -111,13 +111,22 @@ def minimal_edit_script(src, dst) -> list[tuple[int, str, str]]:
     replace, delete, insert. Script length equals the edit distance.
     """
     n, m = len(src), len(dst)
-    dist = [list(range(m + 1))] + [[i] + [0] * m for i in range(1, n + 1)]
-    for i in range(1, n + 1):
-        row = dist[i]
-        prev = dist[i - 1]
-        sc = src[i - 1]
-        for j in range(1, m + 1):
-            row[j] = min(prev[j] + 1, row[j - 1] + 1, prev[j - 1] + (sc != dst[j - 1]))
+    dist = [list(range(m + 1))]
+    for i, sc in enumerate(src, 1):
+        prev = dist[-1]
+        row = [i]
+        left = i
+        for j, dc in enumerate(dst):
+            # left = min(left + 1, prev[j + 1] + 1, prev[j] + (sc != dc)), without a call
+            up = prev[j + 1] + 1
+            diag = prev[j] + (sc != dc)
+            left += 1
+            if up < left:
+                left = up
+            if diag < left:
+                left = diag
+            row.append(left)
+        dist.append(row)
     ops: list[tuple[int, str, str]] = []
     i, j = n, m
     while i > 0 or j > 0:
