@@ -19,7 +19,8 @@ spaces are folded into the span before the spaces, and a lane stops once its
 weight, at most ``0.5 * ls / glen`` (trimmed lengths ``ls`` of the subword
 and ``glen`` of the span), plus the best weight left after it cannot reach
 its best span. Each row is kept, and the spans are read back from the rows
-with ``span_cost``."""
+with ``span_cost``.
+"""
 
 from __future__ import annotations
 
@@ -250,9 +251,9 @@ def _steps(stripped: str, g: str, lo: int, hi: int, end: int, alphabet: set[int]
     ``_stripped_cost``, computed without calling it. ``costs`` is shared by
     the subwords of one alignment with the same ``ls``.
 
-    The ints hold the lanes ``lo..hi-1``. Before each step the caller sends
-    the window ``(lo, hi)``, which only narrows; once it holds at most half
-    of the lanes held, the ints drop the others.
+    The ints hold the lanes ``lo..hi-1``. After one ``next``, the caller
+    sends the window ``(lo, hi)`` for each step; it only narrows, and once it
+    holds at most half of the lanes held, the ints drop the others.
     """
     ls = len(stripped)
     B = 1
