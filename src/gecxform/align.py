@@ -224,7 +224,10 @@ def _advance(best: list[float], table: list[float], dists, tails: list[float]) -
     return [x if x >= (y := table[c] + f) else y for x, c, f in zip(best, dists, tails)]
 
 
-def _advance2(best, table, dists, tails, table2, dists2, tails2) -> list[float]:
+def _advance2(
+    best: list[float], table: list[float], dists, tails: list[float],
+    table2: list[float], dists2, tails2: list[float],
+) -> list[float]:
     """``_advance`` by two steps, in one pass over the lanes."""
     return [
         (x if x >= (z := table2[c2] + f2) else z)
@@ -234,7 +237,9 @@ def _advance2(best, table, dists, tails, table2, dists2, tails2) -> list[float]:
     ]
 
 
-def _steps(stripped: str, g: str, lo: int, hi: int, end: int, alphabet: set[int], costs):
+def _steps(
+    stripped: str, g: str, lo: int, hi: int, end: int, alphabet: set[int], costs: list[list[float]]
+):
     """Per gold character: the cost table of the step and the counts of the window's lanes.
 
     Lane ``p`` of a Python int holds the Myers (1999) bit vectors ``vp``/``vn``
