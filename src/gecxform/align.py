@@ -9,12 +9,15 @@ subwords.
 
 The dynamic program is exact and pure Python; it runs one row per subword,
 from the last one back (``_solve_dp``), and a row covers only the starts that
-the earlier subwords' span bounds can reach. Within a row, every start offset
-is a lane of one Python int, and each gold character advances the
-bit-parallel edit distance (Myers 1999; Hyyro 2003 for the global distance)
-of all lanes at once (``_steps``); a cost table per subword length and step
-turns the lanes' distances into weights. One pass over the lanes takes two
-gold characters wherever no span bound is near (``_row``). Spans that end in
+the earlier subwords' span bounds can reach. Every start offset of a row is a
+lane of a Python int, and each gold character advances the bit-parallel edit
+distance (Myers 1999; Hyyro 2003 for the global distance) of all lanes at
+once (``_lane_counts``). The distances do not depend on the later rows, so
+the rows of one lane width share one set of ints in groups, each computed
+when its first row runs over a window of lanes bounded before the dynamic
+program (``_lane_plan``); a cost table per subword length and step turns the
+lanes' distances into weights. One pass over the lanes takes two gold
+characters wherever no span bound is near (``_row``). Spans that end in
 spaces are folded into the span before the spaces, and a lane stops once its
 weight, at most ``0.5 * ls / glen`` (trimmed lengths ``ls`` of the subword
 and ``glen`` of the span), plus the best weight left after it cannot reach
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Sequence
 
 from .textnorm import alignment_normalize, alignment_normalized_view
@@ -35,6 +38,15 @@ from .tokenizer import WORD_LEAD
 # A single subword may absorb at most 8 + 3 * len(subword) gold characters.
 SPAN_BOUND_BASE = 8
 SPAN_BOUND_PER_CHAR = 3
+
+# The bytes of counts that one group of alignment rows holds (``_lane_plan``).
+GROUP_BYTES = 1 << 16
+
+# The largest pair: a pass of the DP over ``m`` gold characters prices at
+# most ``m * min(bound, m)`` spans a subword, and a pair whose pass would
+# price more raises ``AlignmentError``, so commands skip it (the unbounded
+# retry of five one-letter subwords against 2000 letters, 5 * 2001 ** 2).
+MAX_PAIR_CELLS = 16_000_000
 
 _NEG = float("-inf")
 _INF = float("inf")
@@ -182,7 +194,8 @@ def _solve_dp(normed: list[str], g: str, bounded: bool):
     its row holds the same value as the next row there, else it takes the
     first end ``e`` whose ``span_cost`` plus ``w_next[e]`` gives that value.
     These are the tie rules: a span must beat skipping, and a longer span must
-    beat a shorter one.
+    beat a shorter one. A pass of more than ``MAX_PAIR_CELLS`` cells raises
+    ``AlignmentError``.
     """
     m = len(g)
     # nonspace[j]: the first offset at or after j that is not a space
@@ -192,16 +205,17 @@ def _solve_dp(normed: list[str], g: str, bounded: bool):
             nonspace[j] = nonspace[j + 1]
     # maximal runs of spaces as (first offset, length)
     runs = [(j, nonspace[j] - j) for j in range(m) if g[j] == " " and (j == 0 or g[j - 1] != " ")]
+    longest = max((n for _, n in runs), default=0)
     # lanes at spaces start no span; +inf lets the cut drop them
     lanes = [_INF if ch == " " else _NEG for ch in g] + [_NEG]
-    alphabet = set(map(ord, g))
     tables: dict[int, list[list[float]]] = {}
     limits = [span_length_bound(len(s)) if bounded else m for s in normed]
-    reach = accumulate(limits, initial=0)
+    if m * sum(min(limit, m) for limit in limits) > MAX_PAIR_CELLS:
+        raise AlignmentError(f"pair too large: {len(normed)} subwords, {m} gold characters")
 
     rows = [array("d", [0.0 if nonspace[j] == m else _NEG for j in range(m + 1)])]
-    for s, limit, start in reversed(list(zip(normed, limits, reach))):
-        row = _row(s, g, rows[-1], limit, min(m, start), nonspace, runs, lanes, alphabet, tables)
+    for s, limit, hi, counts, at in _lane_plan(normed, g, limits, nonspace, longest):
+        row = _row(s, g, rows[-1], limit, hi, counts, at, nonspace, runs, longest, lanes, tables)
         rows.append(row)
     if rows[-1][0] == _NEG:
         return None
@@ -217,6 +231,133 @@ def _solve_dp(normed: list[str], g: str, bounded: bool):
         spans.append((j, e))
         j = e
     return rows[0][0], spans
+
+
+def _lane_width(ls: int) -> int:
+    """Bytes per lane for a stripped subword of length ``ls``: a power of two above ``ls / 8``."""
+    return 1 << max(0, ls.bit_length() - 3)
+
+
+def _lane_plan(normed: list[str], g: str, limits: list[int], nonspace: list[int], longest: int):
+    """Per subword from the last one back: ``(s, limit, hi, counts, at)`` for ``_row``.
+
+    **Windows.** Row ``i`` runs the lanes ``lo_i..hi_i-1`` for ``nsteps_i =
+    min(limit_i, m)`` steps. ``hi_i`` comes from ``reach``. For ``lo_i``,
+    let ``F_n`` be the first offset whose ``nonspace`` is ``m`` and ``F_i =
+    max(0, F_{i+1} - limit_i)``: row ``i`` is ``-inf`` before ``F_i``, as a
+    row is finite only where a skip or a span of at most ``limit_i`` reaches
+    a finite value of the next row. ``_row`` starts ``nsteps`` before the
+    first finite ``folds[longest][e]``, and a fold looks at most ``longest``
+    offsets ahead, so ``lo_i = max(0, F_{i+1} - longest - nsteps_i)`` is
+    never above it.
+
+    **Groups.** In DP order, a row joins the open group of its lane width
+    ``B`` while the group's lanes times steps times ``B`` stay within
+    ``GROUP_BYTES``, and takes a block of ``end_i - lo_i`` lanes, ``end_i =
+    min(m, hi_i + nsteps_i - 1)``, so the match masks of the next block,
+    shifted down one lane a step, never reach its live lanes. A group's
+    counts (``_lane_counts``) are computed when its first row runs, one byte
+    string per step, and dropped after its last row; lane ``p`` is at byte
+    ``at + p * B``. A row over the budget alone streams its steps, since in
+    the unbounded retry all of them would take ``O(m**2)`` bytes. A row
+    whose pattern or window is empty reads zeros.
+    """
+    m = len(g)
+    reach = list(accumulate(limits, initial=0))
+    first = nonspace.index(m)  # F_n
+    plan = []
+    groups: dict[int, list] = {}  # per lane width, the open group: [blocks, lanes, steps, kept]
+    for i in range(len(normed) - 1, -1, -1):
+        s, limit = normed[i], limits[i]
+        stripped = s.strip()
+        nsteps = min(limit, m)
+        hi = min(m, nonspace[min(m, reach[i])] + 1)
+        lo = max(0, first - longest - nsteps)
+        first = max(0, first - limit)
+        end = min(m, hi + nsteps - 1)
+        group = None
+        if stripped and lo < hi:
+            B = _lane_width(len(stripped))
+            group = groups.get(B)
+            if (end - lo) * nsteps * B > GROUP_BYTES:
+                group = [[], 0, 0, None]  # streamed
+            elif group is None or (group[1] + end - lo) * max(group[2], nsteps) * B > GROUP_BYTES:
+                group = groups[B] = [[], 0, 0, []]
+            group[0].append((stripped, lo, end))
+            group[1] += end - lo
+            group[2] = max(group[2], nsteps)
+        plan.append((s, limit, hi, group, (group[1] - end) * B if group else 0))
+    del groups
+    zeros = repeat(bytes(m))
+    for k, (s, limit, hi, group, at) in enumerate(plan):
+        plan[k] = None  # so that a group goes with its last row
+        if group is None:
+            counts = zeros
+        elif group[3] is None:
+            counts = _lane_counts(*group[:3], g)
+        else:
+            if not group[3]:
+                group[3] = list(_lane_counts(*group[:3], g))
+            counts = iter(group[3])
+        yield s, limit, hi, counts, at
+
+
+def _lane_counts(blocks: list[tuple[str, int, int]], lanes: int, steps: int, g: str):
+    """Per gold character, the counts of the ``lanes`` lanes of ``blocks`` as one byte string.
+
+    A block ``(stripped, lo, end)`` holds the lanes ``lo..end-1`` of one
+    subword; lane ``p`` holds the Myers (1999) bit vectors ``vp``/``vn`` of
+    the spans that start at ``g[p]``, with the global-distance boundary of
+    Hyyro (2003), so a dozen big-int operations advance every lane by one
+    character. A lane is ``W = 8 * B`` bits wide, and a pattern of length
+    ``ls`` sits at bits ``W - 1 - ls`` to ``W - 2``: one ``high`` mask and
+    one shift read the last bit of every pattern, the boundary bit enters at
+    each pattern's first bit, and bit ``W - 1`` takes the carry of the
+    addition. A block's match masks are one ``str.translate`` of
+    ``g[lo:end]``, ``B`` latin-1 bytes a character; step ``k`` shifts them
+    down ``k`` lanes. After ``t`` characters a lane's distance ``d`` lies in
+    ``[|t - ls|, max(t, ls)]``, and its low bits count ``d - |t - ls|``, so
+    the count changes by the distance's change plus one before step ``ls``
+    of its block, and less one from then on. The counts come out through
+    ``int.to_bytes``.
+    """
+    B = _lane_width(len(blocks[0][0]))
+    W = 8 * B
+    one = b"\x01" + bytes(B - 1)
+    eqs, masks, firsts, flips = [], [], [], {}
+    o = 0  # the block's first lane
+    for stripped, lo, end in blocks:
+        ls = len(stripped)
+        n = end - lo
+        shift = W - 1 - ls
+        table = dict.fromkeys(map(ord, g[lo:end]), "\0" * B)
+        for ch, v in _peq(stripped).items():
+            table[ord(ch)] = (v << shift).to_bytes(B, "little").decode("latin-1")
+        flips[ls] = flips.get(ls, 0) | int.from_bytes(one * n, "little") << (o * W)
+        o += n
+        eqs.append(g[lo:end].translate(table))
+        masks.append((((1 << ls) - 1) << shift).to_bytes(B, "little") * n)
+        firsts.append((1 << shift).to_bytes(B, "little") * n)
+    eqs = int.from_bytes("".join(eqs).encode("latin-1"), "little")
+    mask = int.from_bytes(b"".join(masks), "little")
+    first = int.from_bytes(b"".join(firsts), "little")
+    adj = int.from_bytes(one * lanes, "little")
+    high = adj << (W - 2)
+    vp, vn, r = mask, 0, 0
+    size = lanes * B
+    for k in range(steps):
+        if k in flips:
+            adj -= 2 * flips[k]
+        eq = eqs >> (k * W)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        hp = (vn | ~(xh | vp)) & mask
+        hn = vp & xh
+        r += (((hp & high) - (hn & high)) >> (W - 2)) + adj
+        hp = (hp << 1) | first
+        vp = ((hn << 1) | ~(xv | hp)) & mask
+        vn = hp & xv
+        yield r.to_bytes(size, "little")
 
 
 def _advance(best: list[float], table: list[float], dists, tails: list[float]) -> list[float]:
@@ -237,76 +378,9 @@ def _advance2(
     ]
 
 
-def _steps(
-    stripped: str, g: str, lo: int, hi: int, end: int, alphabet: set[int], costs: list[list[float]]
-):
-    """Per gold character: the cost table of the step and the counts of the window's lanes.
-
-    Lane ``p`` of a Python int holds the Myers (1999) bit vectors ``vp``/``vn``
-    of the spans that start at ``g[p]``, with the global-distance boundary of
-    Hyyro (2003), so about a dozen big-int operations advance every lane by
-    one character of ``g[:end]``. A lane is ``8 * B`` bits wide, ``B`` a
-    power of two with ``8 * B > ls``: one guard bit takes the carry of the
-    addition, and the lanes come out through ``int.to_bytes``. The match
-    masks of all lanes are one ``str.translate``: each character becomes
-    ``B`` latin-1 bytes, zero for a character not in the subword. After
-    ``t`` characters the distance ``d`` of a lane lies in ``[|t - ls|,
-    max(t, ls)]``; the lanes count ``d - |t - ls|``, in ``[0, ls]``, and
-    ``costs[t]`` maps the count to the cost of step ``t``: the float of
-    ``_stripped_cost``, computed without calling it. ``costs`` is shared by
-    the subwords of one alignment with the same ``ls``.
-
-    The ints hold the lanes ``lo..hi-1``. After one ``next``, the caller
-    sends the window ``(lo, hi)`` for each step; it only narrows, and once it
-    holds at most half of the lanes held, the ints drop the others.
-    """
-    ls = len(stripped)
-    B = 1
-    while 8 * B <= ls:
-        B *= 2
-    W = 8 * B
-    low = int.from_bytes((b"\x01" + bytes(B - 1)) * (hi - lo), "little")
-    mask = low * ((1 << ls) - 1)
-    high = low << (ls - 1) if ls else 0
-    masks = dict.fromkeys(alphabet, "\0" * B)
-    for ch, v in _peq(stripped).items():
-        masks[ord(ch)] = v.to_bytes(B, "little").decode("latin-1")
-    eqs = int.from_bytes(g[lo:end].translate(masks).encode("latin-1"), "little")
-    vp, vn, r = mask, 0, 0
-    base, n = lo, hi - lo
-    window = yield
-    for k in range(end - lo):
-        lo, hi = window
-        if 2 * (hi - lo) <= n:
-            shift = (lo - base) * W
-            keep = (1 << ((hi - lo) * W)) - 1
-            vp, vn, r, low = [(x >> shift) & keep for x in (vp, vn, r, low)]
-            eqs >>= shift
-            mask = low * ((1 << ls) - 1)
-            high = low << (ls - 1) if ls else 0
-            base, n = lo, hi - lo
-        if ls:
-            eq = eqs >> (k * W)
-            xv = eq | vn
-            xh = (((eq & vp) + vp) ^ vp) | eq
-            hp = (vn | ~(xh | vp)) & mask
-            hn = vp & xh
-            r += (((hp & high) - (hn & high)) >> (ls - 1)) + (-low if k >= ls else low)
-            hp = (hp << 1) | low
-            vp = ((hn << 1) | ~(xv | hp)) & mask
-            vn = hp & xv
-        t = k + 1
-        if t == len(costs):
-            top = t if t > ls else ls
-            gap = 2 * top - t - ls  # |t - ls|
-            costs.append([0.5 * (1.0 - d / top) if d else 0.75 for d in range(gap, gap + ls + 1)])
-        rb = r.to_bytes(n * B, "little")
-        a, b = (lo - base) * B, (hi - base) * B
-        if ls < 256:  # the count fits the low byte of its lane
-            window = yield costs[t], rb[a:b:B]
-        else:
-            counts = [int.from_bytes(rb[i : i + B], "little") for i in range(a, b, B)]
-            window = yield costs[t], counts
+def _wide_counts(rb: bytes, a: int, b: int, B: int) -> list[int]:
+    """The counts of the lanes at bytes ``a..b-1`` of ``rb``, ``B`` bytes each."""
+    return [int.from_bytes(rb[i : i + B], "little") for i in range(a, b, B)]
 
 
 def _row(
@@ -314,14 +388,19 @@ def _row(
     g: str,
     w_next: array,
     limit: int,
-    reach: int,
+    hi: int,
+    counts,
+    at: int,
     nonspace: list[int],
     runs: list[tuple[int, int]],
+    longest: int,
     lanes: list[float],
-    alphabet: set[int],
     tables: dict[int, list[list[float]]],
 ) -> array:
     """Best weight at every start offset up to ``reach`` for subword ``s`` followed by ``w_next``.
+
+    ``hi`` is one past the last lane that runs, and ``counts`` yields the
+    lane counts of each step, lane ``p`` at byte ``at + p * B`` (``_lane_plan``).
 
     A start ``j`` may skip ``s`` (``w_next[j]``) or give it a span ``g[j:e]``
     with ``nonspace[j] < e <= j + limit``. Such a span costs ``span_cost``:
@@ -331,17 +410,21 @@ def _row(
 
     **Reach.** A cover from offset 0 gives this subword a start of at most
     ``reach``, the sum of the span bounds of the subwords before it, so only
-    lanes up to ``nonspace[reach]`` run. The previous row reads this one only
-    at its reachable starts and their ends, which lie within its own reach
-    plus its bound: this row's ``reach``. Values past ``reach`` may fall
-    short of the optimum; no read uses them, and ``sufmax`` over them still
-    bounds every tail that a reachable start can take. The unbounded retry,
-    where every bound is all of ``g``, prunes only the first row.
+    lanes up to ``nonspace[reach]`` run (``hi`` is one past it). The
+    previous row reads this one only at its reachable starts and their ends,
+    which lie within its own reach plus its bound: this row's ``reach``.
+    Values past ``reach`` may fall short of the optimum; no read uses them,
+    and ``sufmax`` over them still bounds every tail that a reachable start
+    can take. The unbounded retry, where every bound is all of ``g``, prunes
+    only the first row.
 
     **Lanes.** The distances of all starts ``p`` in the window advance
-    together, one gold character per step (``_steps``), and the running best
-    of every lane is one list, replaced by one comprehension per pass
-    (``_advance``); nothing of a pass outlives it.
+    together, one gold character per step, in a group of rows of the same
+    lane width, computed before the row runs over a window that starts no
+    later than the one below (``_lane_plan``); the row reads the counts of
+    its live lanes from each step's bytes. The running best of every lane is
+    one list, replaced by one comprehension per pass (``_advance``); nothing
+    of a pass outlives it.
 
     **Fold.** An end just after a space costs what the end before the space
     costs, so a run of spaces is folded into the end before it:
@@ -374,10 +457,9 @@ def _row(
     """
     m = len(g)
     ns = len(s)
-    stripped = s.strip()
-    ls = len(stripped)
+    ls = len(s.strip())
+    B = _lane_width(ls)
     nsteps = min(limit, m)
-    longest = max((n for _, n in runs), default=0)
     forks = limit - 2 * longest  # the first step at which a track may fork
     paired = min(forks, nsteps)  # the steps before it go two to a pass
     w_next = w_next.tolist()  # one float object per offset, shared by the copies below
@@ -403,19 +485,26 @@ def _row(
     tracks: dict[int, list[float]] = {}
     half_ls = 0.5 * ls
     lo = max(0, next((e for e, x in enumerate(fold) if x != _NEG), m + nsteps) - nsteps)
-    hi = min(m, nonspace[reach] + 1)
+    # costs[t][c]: the cost of step t for a lane that counts c
     costs = tables.setdefault(ls, [[]])
-    steps = _steps(stripped, g, lo, hi, min(m, hi + nsteps - 1), alphabet, costs)
-    next(steps)
+    for t in range(len(costs), nsteps + 1):
+        top = t if t > ls else ls
+        gap = 2 * top - t - ls  # |t - ls|
+        costs.append([0.5 * (1.0 - d / top) if d else 0.75 for d in range(gap, gap + ls + 1)])
     k = 0
     while k < nsteps:
         hi = min(hi, m - k)  # lanes whose end p + k + 1 is still in g
         if lo >= hi:
             break
-        table, dists = steps.send((lo, hi))
+        a, b = at + lo * B, at + hi * B
+        rb = next(counts)
+        dists = rb[a:b:B] if ls < 256 else _wide_counts(rb, a, b, B)
         t = k + 1
+        table = costs[t]
         if t < paired:  # steps k and k + 1 in one pass
-            table2, dists2 = steps.send((lo, hi))
+            rb = next(counts)
+            dists2 = rb[a:b:B] if ls < 256 else _wide_counts(rb, a, b, B)
+            table2 = costs[t + 1]
             best[lo:hi] = _advance2(
                 best[lo:hi], table, dists, fold[lo + t : hi + t],
                 table2, dists2, fold[lo + t + 1 : hi + t + 1],
@@ -444,7 +533,7 @@ def _row(
                 hi -= 1
         k += 1
 
-    del sufmax, folds, fold, steps
+    del sufmax, folds, fold, counts
     # from lanes to starts (a start at a space takes its lane's value), or a skip
     row = [x if x >= (y := best[p]) else y for x, p in zip(w_next, nonspace)]
     if tracks or longest >= limit:

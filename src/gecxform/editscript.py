@@ -188,33 +188,27 @@ def build_char_transformation(
         else:
             anchor, index = _anchor_position(pos, n)
         base.append(CharEdit(kind, anchor, index, payload))
-    transformation = CharTransformation(base_edits=tuple(base))
-
-    intermediate = apply_char_transformation(transformation, unit)
-    if intermediate is None or len(intermediate) != len(span):
+    # one character a cell (every payload is one), so positions are offsets
+    cells = _apply_base(base, unit)
+    if cells is None or len(cells) != len(span):
         raise UnreachableSpanError(f"cannot rewrite {unit!r} into {span!r}")
     m = len(span)
-    case = tuple(
-        CharEdit(UPPERCASE, *_anchor_position(pos, m))
-        for pos in case_diff(intermediate, span)
-    )
-    transformation = CharTransformation(tuple(base), case)
-
-    current = apply_char_transformation(transformation, unit)
+    ups = case_diff("".join(cells), span)
+    for pos in ups:
+        cells[pos - 1] = cells[pos - 1].upper()
+    case = tuple(CharEdit(UPPERCASE, *_anchor_position(pos, m)) for pos in ups)
     dia: list[CharEdit] = []
     if casing is CasingMode.UNCASED:
-        for idx, (have, want) in enumerate(zip(current, span)):
+        for idx, (have, want) in enumerate(zip(cells, span)):
             if have == want:
                 continue
             if strip_diacritics(want) != have:
                 raise UnreachableSpanError(f"cannot rewrite {unit!r} into {span!r}")
-            anchor, index = _anchor_position(idx + 1, m)
-            dia.append(CharEdit(SET_DIACRITIC, anchor, index, want))
-        transformation = CharTransformation(tuple(base), case, tuple(dia))
-
-    if apply_char_transformation(transformation, unit) != span:
+            dia.append(CharEdit(SET_DIACRITIC, *_anchor_position(idx + 1, m), want))
+            cells[idx] = want
+    if "".join(cells) != span:  # an uppercase that changes length, or a downcase
         raise UnreachableSpanError(f"cannot rewrite {unit!r} into {span!r}")
-    return transformation
+    return CharTransformation(tuple(base), case, tuple(dia))
 
 
 def _resolve_position(edit: CharEdit, length: int) -> int:
@@ -232,10 +226,31 @@ def apply_char_transformation(t: CharTransformation, unit: str) -> str | None:
     of range, two base edits collide on one position, or a diacritic payload
     does not match the character it replaces.
     """
+    cells = _apply_base(t.base_edits, unit)
+    if cells is None:
+        return None
+    m = len(cells)
+    for edit in t.case_edits:
+        pos = _resolve_position(edit, m)
+        if not 1 <= pos <= m:
+            return None
+        cells[pos - 1] = cells[pos - 1].upper()
+    for edit in t.diacritic_edits:
+        pos = _resolve_position(edit, m)
+        if not 1 <= pos <= m:
+            return None
+        if strip_diacritics(edit.payload) != cells[pos - 1]:
+            return None
+        cells[pos - 1] = edit.payload
+    return "".join(cells)
+
+
+def _apply_base(edits: list[CharEdit] | tuple[CharEdit, ...], unit: str) -> list[str] | None:
+    """The cells of ``unit`` after its base edits: a character or a payload each, or None."""
     n = len(unit)
     inserts: dict[int, list[str]] = {}
     pointwise: dict[int, tuple[str, str]] = {}
-    for edit in t.base_edits:
+    for edit in edits:
         if edit.kind == INSERT:
             gap = _resolve_gap(edit, n)
             if not 1 <= gap <= n + 1:
@@ -255,21 +270,7 @@ def apply_char_transformation(t: CharTransformation, unit: str) -> str | None:
                 out.append(unit[p - 1])
             elif action[0] == REPLACE:
                 out.append(action[1])
-    cells = out
-    m = len(cells)
-    for edit in t.case_edits:
-        pos = _resolve_position(edit, m)
-        if not 1 <= pos <= m:
-            return None
-        cells[pos - 1] = cells[pos - 1].upper()
-    for edit in t.diacritic_edits:
-        pos = _resolve_position(edit, m)
-        if not 1 <= pos <= m:
-            return None
-        if strip_diacritics(edit.payload) != cells[pos - 1]:
-            return None
-        cells[pos - 1] = edit.payload
-    return "".join(cells)
+    return out
 
 
 def build_string_transformation(unit: str, span: str) -> StringTransformation:

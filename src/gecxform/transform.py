@@ -19,7 +19,9 @@ from pathlib import Path
 from .align import align
 from .corpus import load_text, split_lines
 from .editscript import (
+    DELETE,
     KEEP,
+    REPLACE,
     UNCORRECTABLE,
     CharTransformation,
     StringTransformation,
@@ -33,7 +35,7 @@ from .editscript import (
     serialize_transformation,
 )
 from .errors import FormatError
-from .textnorm import CasingMode
+from .textnorm import CasingMode, fold, strip_diacritics
 from .tokenizer import TokenizerMode, detokenize, group_words, tokenize
 
 log = logging.getLogger(__name__)
@@ -101,6 +103,7 @@ class TransformationDictionary:
     entries: tuple[DictEntry, ...]
     _by_value: dict = field(init=False, repr=False, compare=False)
     _labels: dict = field(init=False, repr=False, compare=False)
+    _index: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.entries) < 2:
@@ -116,6 +119,7 @@ class TransformationDictionary:
             if self._by_value.setdefault(entry.transformation, i) != i:
                 raise EntryError(i, "dictionary entries must be unique")
         self._labels = {}
+        self._index = None
 
     @property
     def size(self) -> int:
@@ -135,6 +139,12 @@ class TransformationDictionary:
         The built transformation's id if present, else the lowest id (the most
         frequent rule) whose application yields the span, else uncorrectable.
         ``builds`` is passed on to :func:`build_unit_transformation`.
+
+        On a miss, only the entries that can yield the span are applied, in id
+        order and through ``apply_transformation``: string rules by lookup
+        (``REPLACE`` of the span, ``APPEND`` or ``PREPEND`` of what the span
+        adds to the unit, ``KEEP``), character rules from an index built on
+        the first miss (:func:`_char_index`).
         """
         key = (unit, span)
         if key not in self._labels:
@@ -142,12 +152,90 @@ class TransformationDictionary:
             ident = None if built is None else self.lookup(built)
             if ident is None:
                 ident = next(
-                    (e.ident for e in self.entries[1:]
-                     if apply_transformation(e.transformation, unit) == span),
+                    (i for i in self._candidates(unit, span)
+                     if apply_transformation(self.entries[i].transformation, unit) == span),
                     UNCORRECTABLE_ID,
                 )
             self._labels[key] = ident
         return self._labels[key]
+
+    def _candidates(self, unit: str, span: str) -> list[int]:
+        """The ids, ascending, of the entries in ``entries[1:]`` that can give ``span``."""
+        if self._index is None:
+            self._index = _char_index(self.entries)
+        by_delta, loose = self._index
+        delta = len(span) - len(unit)
+        if len(unit.upper()) > len(unit):  # an uppercase may lengthen the output
+            buckets = [rules for d, rules in by_delta.items() if d <= delta]
+        else:
+            buckets = [by_delta.get(delta, ())]
+        folded, chars = _folded_chars(span), set(span)
+        ids = [
+            i for rules in (*buckets, loose) for i, folds, marks in rules
+            if folds <= folded and marks <= chars
+        ]
+        after = span[len(unit) :] if span.startswith(unit) else ""
+        before = span[: len(span) - len(unit)] if span.endswith(unit) else ""
+        for op, text in (("replace", span), ("append", after), ("prepend", before)):
+            if text and (i := self._by_value.get(StringTransformation(op, text))) is not None:
+                ids.append(i)
+        if unit == span:
+            ids.append(KEEP_ID)
+        return sorted(ids)
+
+
+def _folded_chars(text: str) -> set[str]:
+    """The characters of ``text`` folded one at a time: lowercased, diacritics stripped."""
+    return {f for c in set(text) for f in fold(c, CasingMode.UNCASED)}
+
+
+def _char_index(entries: tuple[DictEntry, ...]):
+    """The character rules of ``entries`` as ``(by_delta, loose)``, for ``label``.
+
+    A rule ``(id, folds, marks)`` is skipped only on a condition that all of
+    its outputs meet. *Length*: the base edits give ``len(unit) + delta``
+    characters, a payload counting its length. An uppercase can lengthen a
+    cell (``ß`` -> ``SS``) and a diacritic edit writes one character over
+    what its payload strips to, so rules with such payloads are ``loose``
+    (any length), and a unit that uppercases longer takes every ``delta``
+    up to the span's. *Characters*: a written character ends as itself,
+    uppercased, or under a diacritic payload that strips to it, so its fold
+    (``_folded_chars``) is in the folded span unless uppercasing changes it
+    (``ı`` -> ``I``); ``folds`` holds the others and the payloads without a
+    diacritic. A payload with one stays as it is (any later payload strips
+    to a character without one): ``marks`` must be in the span.
+    """
+    by_delta: dict[int, list[tuple[int, set[str], set[str]]]] = {}
+    loose = []
+    for entry in entries[2:]:
+        t = entry.transformation
+        if not isinstance(t, CharTransformation):
+            continue
+        delta = 0
+        folds: set[str] = set()
+        grows = False
+        for edit in t.base_edits:
+            delta += -1 if edit.kind == DELETE else len(edit.payload) - (edit.kind == REPLACE)
+            for c in edit.payload:
+                upper = c.upper()
+                grows = grows or len(upper) > 1
+                if _folded_chars(c) <= _folded_chars(upper) & _folded_chars(upper.upper()):
+                    folds |= _folded_chars(c)
+        marks: set[str] = set()
+        shrinks = False
+        for edit in t.diacritic_edits:
+            bare = strip_diacritics(edit.payload)
+            if bare == edit.payload:
+                folds |= _folded_chars(bare)
+            else:
+                marks.add(edit.payload)
+            shrinks = shrinks or len(bare) > 1
+        rule = (entry.ident, folds, marks)
+        if (grows and t.case_edits) or shrinks:
+            loose.append(rule)
+        else:
+            by_delta.setdefault(delta, []).append(rule)
+    return by_delta, loose
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,17 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import gecxform.align as align_module
 from corpusgen import corpusgen_vocab, gold_corpus, uncased_noise_config
 from gecxform.corpus import corrupt_corpus
 from gecxform.align import (
     _NEG,
+    GROUP_BYTES,
+    MAX_PAIR_CELLS,
     Alignment,
     AlignmentError,
     _peq,
@@ -574,3 +578,162 @@ def space_run_instances(draw):
 @given(space_run_instances())
 def test_align_matches_reference_kernel_across_space_runs_under_small_bounds(instance):
     assert_same_as_reference(*instance)
+
+
+# --- groups of rows: lane widths, windows before the DP, streamed rows ---------
+
+
+class RowRecorder:
+    """Records the passes, rows and sets of ints of the alignments made inside it.
+
+    ``passes`` holds, per pass of the DP, the arguments of each row in DP
+    order; ``groups`` holds ``(blocks, width, steps)`` per ``_lane_counts``.
+    """
+
+    def __enter__(self):
+        self.passes, self.groups = [], []
+        solve, row, counts = align_module._solve_dp, align_module._row, align_module._lane_counts
+
+        def traced_solve(normed, g, bounded):
+            self.passes.append([])
+            return solve(normed, g, bounded)
+
+        def traced_row(s, g, w_next, limit, hi, *rest):
+            nonspace, runs, longest = rest[2:5]
+            self.passes[-1].append((g, w_next.tolist(), limit, hi, nonspace, runs, longest))
+            return row(s, g, w_next, limit, hi, *rest)
+
+        def traced_counts(blocks, lanes, steps, g):
+            self.groups.append((list(blocks), align_module._lane_width(len(blocks[0][0])), steps))
+            return counts(blocks, lanes, steps, g)
+
+        self.patch = pytest.MonkeyPatch()
+        self.patch.setattr(align_module, "_solve_dp", traced_solve)
+        self.patch.setattr(align_module, "_row", traced_row)
+        self.patch.setattr(align_module, "_lane_counts", traced_counts)
+        return self
+
+    def __exit__(self, *exc):
+        self.patch.undo()
+
+    def windows(self):
+        """Per row: the ``lo`` bound of ``_lane_plan``, the first lane ``_row`` runs, and ``hi``.
+
+        The bound is ``max(0, F_{i+1} - longest - nsteps)`` with ``F`` as in
+        ``_lane_plan``'s docstring. ``_row`` starts ``nsteps`` before the
+        first end whose fold over the spaces after it is finite.
+        """
+        out = []
+        for rows in self.passes:
+            for k, (g, w_next, limit, hi, nonspace, runs, longest) in enumerate(rows):
+                m = len(g)
+                first = nonspace.index(m) if k == 0 else max(0, first - prev_limit)
+                nsteps = min(limit, m)
+                bound = max(0, first - longest - nsteps)
+                prev_limit = limit
+                ends = [e for e in range(m + 1) if w_next[e] != _NEG and g[e - 1 : e] != " "]
+                ends += [q for q, n in runs if any(w_next[q + l] != _NEG for l in range(1, n + 1))]
+                out.append((bound, max(0, min(ends, default=m + nsteps) - nsteps), hi))
+        return out
+
+
+def assert_grouped_like_reference(subwords, gold):
+    """``assert_same_as_reference``, and every row's window bound holds; the recorder."""
+    with RowRecorder() as recorder:
+        assert_same_as_reference(subwords, gold)
+    for bound, lo, _ in recorder.windows():
+        assert bound <= lo
+    for blocks, width, _ in recorder.groups:
+        assert {align_module._lane_width(len(s)) for s, _, _ in blocks} == {width}
+    return recorder
+
+
+@st.composite
+def width_instances(draw):
+    """Words of 7, 8, 15 and 16 letters (lanes of one, two and four bytes), kept or edited."""
+    words = [
+        draw(st.text("abcdeklmnorstuáčř", min_size=n, max_size=n))
+        for n in draw(st.lists(st.sampled_from([7, 8, 15, 16, 3]), min_size=4, max_size=10))
+    ]
+    subwords = []
+    for word in words:
+        if draw(st.booleans()):
+            k = draw(st.integers(0, len(word) - 1))
+            word = word[:k] + draw(st.sampled_from("xyz")) + word[k + 1 :]
+        subwords += _pieces(draw, word) if draw(st.integers(0, 3)) == 0 else [" " + word]
+    return subwords, " ".join(words)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(width_instances())
+def test_groups_of_mixed_lane_widths_match_the_reference(instance):
+    assert_grouped_like_reference(*instance)
+
+
+def test_a_pair_with_lane_widths_of_one_two_and_four_bytes():
+    words = ["abcdefg", "hijklmno", "pqrstuvwxyzabcd", "efghijklmnopqrst"]
+    subwords = [" " + w for w in words * 3]
+    gold = " ".join(w[:3] + "x" + w[4:] for w in words * 3)
+    recorder = assert_grouped_like_reference(subwords, gold)
+    assert {width for _, width, _ in recorder.groups} == {1, 2, 4}
+    # rows of one width share their ints, each in a block of its own lanes
+    assert any(len(blocks) > 1 for blocks, _, _ in recorder.groups)
+
+
+@pytest.mark.parametrize(
+    "subwords, gold",
+    [
+        ([" a", " b", " c"], "ab" * 30),
+        ([" ab", "c", " de", "f"], "abc de  " * 9),
+        ([" x", " y", ".", " z"], "x y . z " + "q" * 70),
+    ],
+)
+def test_rows_with_empty_windows_match_the_reference(subwords, gold):
+    # the later subwords' span bounds leave the first rows of the bounded pass
+    # no finite tail to reach: their windows are empty before the DP
+    recorder = assert_grouped_like_reference(subwords, gold)
+    assert any(bound >= hi for bound, _, hi in recorder.windows())
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.one_of(large_instances(), reach_instances(), space_run_instances(), tight_instances()))
+def test_windows_before_the_dp_start_no_later_than_the_rows(instance):
+    assert_grouped_like_reference(*instance)
+
+
+def test_a_subword_of_256_or_more_beside_short_ones():
+    rng = random.Random(11)
+    long = "".join(rng.choice("abcde") for _ in range(300))
+    subwords = [" ab", " cd", " " + long, " ef", " gh"]
+    gold = "ab cd " + long[:100] + "x" + long[101:] + " ef gh"
+    recorder = assert_grouped_like_reference(subwords, gold)
+    assert {width for _, width, _ in recorder.groups} == {1, 64}
+
+
+def test_a_row_past_the_budget_streams_its_steps():
+    # the unbounded retry of two short subwords against 500 letters: its rows
+    # run 501 steps over about 501 lanes, past GROUP_BYTES, so each streams
+    # one step at a time and the alignment holds far less than those bytes
+    subwords, gold = [" a", " b"], "x" * 500
+    recorder = assert_grouped_like_reference(subwords, gold)
+    streamed = [
+        (blocks, width, steps) for blocks, width, steps in recorder.groups
+        if sum(end - lo for _, lo, end in blocks) * steps * width > GROUP_BYTES
+    ]
+    assert streamed and len(recorder.passes) == 2
+    tracemalloc.start()
+    try:
+        align(subwords, gold)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 501 * 501
+
+
+def test_a_pair_past_the_cell_cap_is_refused():
+    # five one-letter subwords against 2000 letters: only the unbounded retry
+    # covers them, and it would price 5 * 2001 ** 2 spans
+    assert 5 * 2001**2 > MAX_PAIR_CELLS
+    with pytest.raises(AlignmentError, match="pair too large"):
+        align([" a"] * 5, "x" * 2000)
+    assert align([" a"] * 5, "x" * 300).spans[-1][1] == 301

@@ -1,4 +1,5 @@
 import json
+import time
 import unicodedata
 
 import pytest
@@ -378,6 +379,25 @@ def test_encode_labels_unalignable_pairs_uncorrectable(tmp_path, capsys, caplog)
     assert run("apply", labels, "--dict", dict_path, "--out", decoded) == 0
     assert decoded.read_text() == "a b\n\nfoo\n"
     assert run("evaluate", corpus, "--hypothesis", decoded) == 0
+
+
+def test_a_hostile_pair_is_skipped_in_bounded_time(tmp_path, capsys, caplog):
+    # five one-letter words against 2000 letters: only the unbounded retry
+    # covers the gold, which would price 5 * 2001 ** 2 spans and take seconds
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("a b\ta bb\na b c d e\t" + "x" * 2000 + "\n", encoding="utf-8")
+    dict_path, labels, rows = tmp_path / "c.dict", tmp_path / "c.labels", tmp_path / "rows.tsv"
+    start = time.perf_counter()
+    assert run("induce", corpus, "--mode", "char-at-word", "--out", dict_path) == 0
+    assert run("encode", corpus, "--dict", dict_path, "--out", labels) == 0
+    assert run("analyze", corpus, "--min-counts", "1", "--iterations", "1", "--out", rows) == 0
+    assert time.perf_counter() - start < 1.5
+    skips = [r.getMessage() for r in caplog.records if "skipping pair" in r.getMessage()]
+    assert len(skips) == 3 and all("pair too large" in s for s in skips)
+    assert "1 skipped pairs" in capsys.readouterr().out
+    assert [json.loads(line)["labels"] for line in labels.read_text().splitlines()] == [
+        [1, 2], [0] * 5
+    ]
 
 
 @pytest.mark.parametrize("command", ["induce", "encode", "evaluate", "analyze"])

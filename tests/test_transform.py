@@ -13,6 +13,7 @@ from gecxform.editscript import (
     StringTransformation,
     UncorrectableMarker,
     apply_transformation,
+    parse_transformation,
 )
 from gecxform.errors import FormatError
 from gecxform.textnorm import CasingMode
@@ -288,6 +289,104 @@ def test_labelled_units_decode_to_their_gold_spans(mode, casing, tokenizer, seed
         for unit, span, label in zip(units, spans, labeled.labels):
             if label != UNCORRECTABLE_ID:
                 assert apply_transformation(dictionary.transformation_for(label), unit) == span
+
+
+# few letters, so that several rules often rewrite a unit into one span:
+# "ß" uppercases to "SS", "İ" lowercases to "i" and a combining dot, "ı"
+# uppercases to "I"; diacritic payloads with and without a diacritic
+LABEL_LETTERS = "asßıiIİá"
+LABEL_TEXT = st.text(LABEL_LETTERS + " ", min_size=0, max_size=4)
+EDIT_KINDS = ["ins", "rep", "del", "upc", "dia", "rep+upc"]
+
+
+@st.composite
+def parsed_char_rules(draw):
+    """A character rule as a dictionary file writes it: multi-character
+    payloads, case and diacritic edits in any number and place, and
+    uppercased replacements ("ß" -> "SS", "ı" -> "I")."""
+    edits = []
+    for kind in draw(st.lists(st.sampled_from(EDIT_KINDS), min_size=1, max_size=3)):
+        at = f"@{draw(st.sampled_from('se'))}{draw(st.integers(1, 2))}"
+        if kind in ("ins", "rep"):
+            edits.append(f"{kind}{at}=" + draw(st.text(LABEL_LETTERS, min_size=1, max_size=2)))
+        elif kind == "dia":
+            edits.append(f"dia{at}=" + draw(st.sampled_from("áíaiİ")))
+        elif kind == "rep+upc":
+            edits += [f"rep{at}=" + draw(st.sampled_from("ßıa")), "upc" + at]
+        else:
+            edits.append(kind + at)
+    return parse_transformation("CHAR " + ";".join(edits))
+
+
+@st.composite
+def string_rules(draw):
+    op = draw(st.sampled_from(["replace", "append", "prepend"]))
+    return StringTransformation(op, draw(st.text(LABEL_LETTERS + " ", min_size=1, max_size=3)))
+
+
+@st.composite
+def label_cases(draw):
+    """A dictionary of one grain and casing, and ``(unit, span)`` pairs to label.
+
+    Rules are drawn (parsed character rules, string rules) or built from
+    random pairs, in random id order; a span is mostly an entry applied to
+    the unit, so that several entries often match and the lowest id wins.
+    """
+    grain = draw(st.sampled_from(["char", "string"]))
+    casing = draw(st.sampled_from(list(CasingMode)))
+    drawn = parsed_char_rules() if grain == "char" else string_rules()
+    rules = draw(st.lists(drawn, max_size=20))
+    for _ in range(draw(st.integers(0, 10))):
+        built = transform_module.build_unit_transformation(
+            draw(LABEL_TEXT), draw(LABEL_TEXT), grain, casing
+        )
+        if built is not None:
+            rules.append(built)
+    rules = draw(st.permutations([r for r in dict.fromkeys(rules) if r != KEEP]))
+    entries = [DictEntry(0, 0, UNCORRECTABLE), DictEntry(1, 0, KEEP)]
+    entries += [DictEntry(i, 1, r) for i, r in enumerate(rules, 2)]
+    dictionary = TransformationDictionary(
+        GranularityMode(grain, "subword"), casing, 1, tuple(entries)
+    )
+    pairs = []
+    for _ in range(draw(st.integers(1, 10))):
+        unit = draw(LABEL_TEXT)
+        span = draw(LABEL_TEXT)
+        if rules and draw(st.integers(0, 3)):
+            span = apply_transformation(draw(st.sampled_from(rules)), unit) or span
+        pairs.append((unit, span))
+    return dictionary, pairs
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(label_cases())
+def test_label_equals_the_id_order_walk(case):
+    dictionary, pairs = case
+    for unit, span in pairs:
+        built = transform_module.build_unit_transformation(
+            unit, span, dictionary.mode.grain, dictionary.casing
+        )
+        ident = None if built is None else dictionary.lookup(built)
+        if ident is None:
+            ident = next(
+                (e.ident for e in dictionary.entries[1:]
+                 if apply_transformation(e.transformation, unit) == span),
+                UNCORRECTABLE_ID,
+            )
+        assert dictionary.label(unit, span) == ident
+
+
+def test_label_finds_a_rule_whose_diacritic_edit_shortens_the_output():
+    # U+0F43 strips to two characters, so the diacritic edit writes one
+    # character over the two that the insert wrote: the output is one
+    # character shorter than the base edits make it
+    rule = parse_transformation("CHAR ins@s1=\u0f42\u0fb7;dia@s1=\u0f43")
+    dictionary = TransformationDictionary(
+        CHAR_SUB, CasingMode.CASED, 1,
+        (DictEntry(0, 0, UNCORRECTABLE), DictEntry(1, 0, KEEP), DictEntry(2, 1, rule)),
+    )
+    assert apply_transformation(rule, "a") == "\u0f43a"
+    assert dictionary.label("a", "\u0f43a") == 2
 
 
 def test_dictionary_file_round_trip():
