@@ -1,11 +1,11 @@
 """Extended-LCS alignment of input subwords to contiguous spans of a corrected sentence.
 
 Each subword is assigned a possibly-empty contiguous span of the corrected
-("gold") sentence so that the sum of per-pair weights is maximal. Comparisons
-ignore casing, diacritics and the identity of punctuation characters; spans
-are cut from the original gold text. The gold sentence receives one prepended
-space so that its words carry the same leading-space convention as the
-subwords.
+("gold") sentence so that the sum of per-pair weights is maximal (``_row``
+defines the weight). Comparisons ignore casing, diacritics and the identity
+of punctuation characters; spans are cut from the original gold text. The
+gold sentence receives one prepended space so that its words carry the same
+leading-space convention as the subwords.
 
 The dynamic program is exact and pure Python; it runs one row per subword,
 from the last one back (``_solve_dp``), and a row covers only the starts that
@@ -22,7 +22,7 @@ spaces are folded into the span before the spaces, and a lane stops once its
 weight, at most ``0.5 * ls / glen`` (trimmed lengths ``ls`` of the subword
 and ``glen`` of the span), plus the best weight left after it cannot reach
 its best span. Each row is kept, and the spans are read back from the rows
-with ``span_cost``.
+with the same cost tables.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import Sequence
 
-from .textnorm import alignment_normalize, alignment_normalized_view
+from .textnorm import alignment_cuts, alignment_normalize
 from .tokenizer import WORD_LEAD
 
 # A single subword may absorb at most 8 + 3 * len(subword) gold characters.
@@ -100,33 +100,6 @@ def edit_distance(a: str, b: str) -> int:
     return dist
 
 
-def _stripped_cost(dist: int, len_a: int, len_b: int) -> float:
-    """Weight of a pair that is not an exact match, from its trimmed strings.
-
-    ``dist`` is the edit distance of the two trimmed strings and ``len_a``,
-    ``len_b`` their lengths: 0.75 when they are equal, else half their
-    Levenshtein similarity.
-    """
-    if dist == 0:
-        return 0.75
-    return 0.5 * (1.0 - dist / (len_a if len_a > len_b else len_b))
-
-
-def span_cost(subword: str, span: str) -> float:
-    """Weight of pairing one normalized subword with one candidate gold span.
-
-    Exact match scores 1, whitespace-trimmed equality 0.75, anything else half
-    the Levenshtein similarity. The similarity is taken over the trimmed
-    strings: surrounding whitespace carries no evidence, and counting it would
-    let a shifted word boundary outweigh an in-word match.
-    """
-    if subword == span:
-        return 1.0
-    sub = subword.strip()
-    spn = span.strip()
-    return _stripped_cost(edit_distance(sub, spn), len(sub), len(spn))
-
-
 @dataclass(frozen=True)
 class Alignment:
     """Per-subword spans over ``gold`` (the corrected sentence with one leading space).
@@ -152,11 +125,11 @@ def _prepare(subwords: Sequence[str], gold: str):
         raise ValueError("alignment requires non-empty gold text")
     lead_gold = WORD_LEAD + gold
     folds: dict[str, str] = {}
-    view = alignment_normalized_view(lead_gold, folds)
-    if not view.normalized.strip():
+    g, cuts = alignment_cuts(lead_gold, folds)
+    if not g.strip():
         raise AlignmentError("gold text contains only whitespace")
     normed = [alignment_normalize(t, folds) for t in subwords]
-    return lead_gold, view, normed
+    return lead_gold, g, cuts, normed
 
 
 def align(subwords: Sequence[str], gold: str) -> Alignment:
@@ -169,33 +142,28 @@ def align(subwords: Sequence[str], gold: str) -> Alignment:
     shorter span for the earlier subword. If the length bound makes full
     consumption impossible the bound is lifted for that sentence.
     """
-    lead_gold, view, normed = _prepare(subwords, gold)
-    g = view.normalized
-    result = _solve_dp(normed, g, bounded=True)
-    if result is None:
-        result = _solve_dp(normed, g, bounded=False)
-    if result is None:
-        raise AlignmentError("no complete alignment exists")
-    weight, norm_spans = result
-    cuts = view.boundaries()
+    lead_gold, g, cuts, normed = _prepare(subwords, gold)
+    weight, norm_spans = _solve_dp(normed, g)
     spans = tuple((cuts[a], cuts[b]) for a, b in norm_spans)
     return Alignment(lead_gold, spans, weight)
 
 
-def _solve_dp(normed: list[str], g: str, bounded: bool):
-    """Best weight and spans over the normalized gold ``g``, or None without a cover.
+def _solve_dp(normed: list[str], g: str) -> tuple[float, list[tuple[int, int]]]:
+    """Best weight and spans over the normalized gold ``g``.
 
     Rows run from the last subword back; ``w_next[e]`` is the best weight of
     the later subwords over ``g[e:]``, and ``_row`` computes the row of one
     subword. Row ``i`` is exact at the offsets up to ``reach[i]``, the sum of
     the earlier subwords' span bounds, which are all that a cover from offset
-    0 can give it. Each row is kept as an ``array('d')``; the spans are
-    recovered from them afterwards. A subword at offset ``j`` is skipped when
-    its row holds the same value as the next row there, else it takes the
-    first end ``e`` whose ``span_cost`` plus ``w_next[e]`` gives that value.
-    These are the tie rules: a span must beat skipping, and a longer span must
-    beat a shorter one. A pass of more than ``MAX_PAIR_CELLS`` cells raises
-    ``AlignmentError``.
+    0 can give it. Only if the pass under the span bounds leaves ``g``
+    uncovered does a pass with every bound lifted to ``len(g)`` run, over the
+    same state. A pass of more than ``MAX_PAIR_CELLS`` cells, or no cover at
+    all, raises ``AlignmentError``. Each row is kept as an ``array('d')``;
+    the spans are recovered from them afterwards. A subword at offset ``j``
+    is skipped when its row holds the same value as the next row there, else
+    it takes the first end ``e`` whose weight (from the rows' cost tables)
+    plus ``w_next[e]`` gives that value. These are the tie rules: a span must
+    beat skipping, and a longer span must beat a shorter one.
     """
     m = len(g)
     # nonspace[j]: the first offset at or after j that is not a space
@@ -209,24 +177,38 @@ def _solve_dp(normed: list[str], g: str, bounded: bool):
     # lanes at spaces start no span; +inf lets the cut drop them
     lanes = [_INF if ch == " " else _NEG for ch in g] + [_NEG]
     tables: dict[int, list[list[float]]] = {}
-    limits = [span_length_bound(len(s)) if bounded else m for s in normed]
-    if m * sum(min(limit, m) for limit in limits) > MAX_PAIR_CELLS:
-        raise AlignmentError(f"pair too large: {len(normed)} subwords, {m} gold characters")
-
-    rows = [array("d", [0.0 if nonspace[j] == m else _NEG for j in range(m + 1)])]
-    for s, limit, hi, counts, at in _lane_plan(normed, g, limits, nonspace, longest):
-        row = _row(s, g, rows[-1], limit, hi, counts, at, nonspace, runs, longest, lanes, tables)
-        rows.append(row)
-    if rows[-1][0] == _NEG:
-        return None
+    for limits in ([span_length_bound(len(s)) for s in normed], [m] * len(normed)):
+        if m * sum(min(limit, m) for limit in limits) > MAX_PAIR_CELLS:
+            raise AlignmentError(f"pair too large: {len(normed)} subwords, {m} gold characters")
+        rows = [array("d", [0.0 if nonspace[j] == m else _NEG for j in range(m + 1)])]
+        for s, limit, hi, counts, at in _lane_plan(normed, g, limits, nonspace, longest):
+            rows.append(
+                _row(s, g, rows[-1], limit, hi, counts, at, nonspace, runs, longest, lanes, tables)
+            )
+        if rows[-1][0] != _NEG:
+            break
+    else:
+        raise AlignmentError("no complete alignment exists")
     rows.reverse()
     spans = []
     j = 0
     for s, value, w_next in zip(normed, rows, rows[1:]):
         e = j
         if value[j] != w_next[j]:
+            stripped = s.strip()
+            ls = len(stripped)
+            costs = tables[ls]
             e = nonspace[j] + 1
-            while span_cost(s, g[j:e]) + w_next[e] != value[j]:
+            while True:
+                span = g[j:e]
+                if span == s:
+                    weight = 1.0
+                else:
+                    trimmed = span.strip()
+                    t = len(trimmed)
+                    weight = costs[t][edit_distance(stripped, trimmed) - abs(t - ls)]
+                if weight + w_next[e] == value[j]:
+                    break
                 e += 1
         spans.append((j, e))
         j = e
@@ -403,10 +385,13 @@ def _row(
     lane counts of each step, lane ``p`` at byte ``at + p * B`` (``_lane_plan``).
 
     A start ``j`` may skip ``s`` (``w_next[j]``) or give it a span ``g[j:e]``
-    with ``nonspace[j] < e <= j + limit``. Such a span costs ``span_cost``:
-    1.0 for an exact match (found with ``g.find``), else a function of the
-    edit distance between the stripped subword and ``g[p:e']``, where
-    ``p = nonspace[j]`` and ``e'`` is ``e`` less its trailing spaces.
+    with ``nonspace[j] < e <= j + limit``. Such a span weighs 1.0 for an
+    exact match (found with ``g.find``), else ``tables[ls][t][d - |t - ls|]``:
+    0.75 when ``d`` is 0, else ``0.5 * (1 - d / max(t, ls))``, where ``t`` is
+    the length of ``g[p:e']`` (``p = nonspace[j]`` and ``e'`` is ``e`` less
+    its trailing spaces) and ``d`` its edit distance to the stripped subword.
+    Surrounding spaces carry no evidence; counting them would let a shifted
+    word boundary outweigh an in-word match.
 
     **Reach.** A cover from offset 0 gives this subword a start of at most
     ``reach``, the sum of the span bounds of the subwords before it, so only

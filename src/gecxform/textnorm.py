@@ -6,7 +6,6 @@ Everything in this module is a pure function over immutable values.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass
 from enum import Enum
 
 # Any punctuation character is folded to this placeholder during alignment.
@@ -50,39 +49,23 @@ def strip_diacritics(text: str) -> str:
     return unicodedata.normalize("NFC", kept)
 
 
-@dataclass(frozen=True)
-class NormalizedView:
-    """A normalized rendering of a string with per-character provenance.
+def alignment_cuts(text: str, folds: dict[str, str]) -> tuple[str, list[int]]:
+    """:func:`alignment_normalize` of ``text`` and the offsets in ``text`` of its cut points.
 
-    ``provenance[k]`` is the index in ``original`` of the character that
-    produced ``normalized[k]``; it is monotone non-decreasing. Characters that
-    vanish under normalization attach to the preceding cut when offsets are
-    mapped back through :meth:`boundaries`.
+    A normalized span ``[a, b)`` is the original substring
+    ``text[cuts[a]:cuts[b]]``. Cut ``k`` is the offset of the character that
+    produced normalized character ``k``, so characters that vanish under
+    normalization attach to the preceding cut; the first cut is 0 and the
+    last is ``len(text)`` (the only cut, if nothing is left). A fold may
+    lengthen a character (U+0F43 folds to U+0F42 U+0FB7), so there may be
+    more cuts than characters of ``text``.
     """
-
-    original: str
-    normalized: str
-    provenance: tuple[int, ...]
-
-    def boundaries(self) -> list[int]:
-        """Offsets into ``original`` for every cut point of ``normalized``.
-
-        ``boundaries()[a:b]`` brackets convert a normalized span ``[a, b)``
-        into the original substring ``original[boundaries()[a]:boundaries()[b]]``.
-        """
-        n = len(self.normalized)
-        cuts = [0] * (n + 1)
-        for k in range(1, n):
-            cuts[k] = self.provenance[k]
-        cuts[n] = len(self.original)
-        return cuts
-
-
-def alignment_normalized_view(text: str, folds: dict[str, str]) -> NormalizedView:
-    """:func:`alignment_normalize` of ``text``, keeping a map back to original offsets."""
     normalized = alignment_normalize(text, folds)
-    provenance = tuple([idx for idx, ch in enumerate(text) for _ in folds[ch]])
-    return NormalizedView(text, normalized, provenance)
+    cuts = [idx for idx, ch in enumerate(text) for _ in folds[ch]]
+    if cuts:
+        cuts[0] = 0
+    cuts.append(len(text))
+    return normalized, cuts
 
 
 def alignment_normalize(text: str, folds: dict[str, str]) -> str:

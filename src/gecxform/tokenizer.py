@@ -10,7 +10,7 @@ sentence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import load_text, split_lines
@@ -36,6 +36,8 @@ class TokenizerMode:
     kind: str
     vocab: frozenset[str] | None = None
     chunk_size: int = 1
+    # the length of the longest vocabulary piece, set by __post_init__
+    max_piece: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -45,6 +47,7 @@ class TokenizerMode:
                 raise ValueError("vocab tokenizer requires a non-empty vocabulary")
             for piece in self.vocab:
                 _check_piece(piece)
+            object.__setattr__(self, "max_piece", max(map(len, self.vocab)))
         if self.kind == "chars" and self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
 
@@ -78,7 +81,6 @@ def tokenize(sentence: str, mode: TokenizerMode, casing: CasingMode) -> list[str
     words = fold(sentence, casing).split()
     if not words:
         raise ValueError("cannot tokenize an empty sentence")
-    max_piece = max(len(p) for p in mode.vocab) if mode.kind == "vocab" else 0
     pieces: list[str] = []
     for word in words:
         spaced = WORD_LEAD + word
@@ -89,7 +91,7 @@ def tokenize(sentence: str, mode: TokenizerMode, casing: CasingMode) -> list[str
             pieces.append(WORD_LEAD + word[:k])
             pieces.extend(word[i : i + k] for i in range(k, len(word), k))
         else:
-            pieces.extend(_greedy_pieces(spaced, mode.vocab, max_piece))
+            pieces.extend(_greedy_pieces(spaced, mode.vocab, mode.max_piece))
     return pieces
 
 

@@ -16,10 +16,8 @@ from gecxform.align import (
     AlignmentError,
     _peq,
     _prepare,
-    _stripped_cost,
     align,
     edit_distance,
-    span_cost,
     span_length_bound,
 )
 from gecxform.textnorm import CasingMode, alignment_normalize
@@ -30,6 +28,33 @@ BRUTEFORCE_MAX_SUBWORDS = 5
 BRUTEFORCE_MAX_GOLD = 16
 
 
+def _stripped_cost(dist, len_a, len_b):
+    """Weight of a pair that is not an exact match, from its trimmed strings.
+
+    ``dist`` is the edit distance of the two trimmed strings and ``len_a``,
+    ``len_b`` their lengths: 0.75 when they are equal, else half their
+    Levenshtein similarity.
+    """
+    if dist == 0:
+        return 0.75
+    return 0.5 * (1.0 - dist / (len_a if len_a > len_b else len_b))
+
+
+def span_cost(subword, span):
+    """Weight of pairing one normalized subword with one candidate gold span.
+
+    Exact match scores 1, whitespace-trimmed equality 0.75, anything else half
+    the Levenshtein similarity. The similarity is taken over the trimmed
+    strings: surrounding whitespace carries no evidence, and counting it would
+    let a shifted word boundary outweigh an in-word match.
+    """
+    if subword == span:
+        return 1.0
+    sub = subword.strip()
+    spn = span.strip()
+    return _stripped_cost(edit_distance(sub, spn), len(sub), len(spn))
+
+
 def align_bruteforce(subwords, gold):
     """Reference alignment by exhaustive enumeration of contiguous span partitions.
 
@@ -38,8 +63,7 @@ def align_bruteforce(subwords, gold):
     """
     if len(subwords) > BRUTEFORCE_MAX_SUBWORDS or len(gold) > BRUTEFORCE_MAX_GOLD:
         raise ValueError("instance too large for exhaustive alignment")
-    lead_gold, view, normed = _prepare(subwords, gold)
-    g = view.normalized
+    lead_gold, g, cuts, normed = _prepare(subwords, gold)
     m = len(g)
     n = len(normed)
     tail_ws = [False] * (m + 1)
@@ -77,12 +101,11 @@ def align_bruteforce(subwords, gold):
         solved = best(0, 0, False, {})
     if solved is None:
         raise AlignmentError("no complete alignment exists")
-    return _alignment(view, lead_gold, solved)
+    return _alignment(cuts, lead_gold, solved)
 
 
-def _alignment(view, lead_gold, solved):
+def _alignment(cuts, lead_gold, solved):
     weight, norm_spans = solved
-    cuts = view.boundaries()
     return Alignment(lead_gold, tuple((cuts[a], cuts[b]) for a, b in norm_spans), weight)
 
 
@@ -177,14 +200,13 @@ def reference_solve_dp(normed, g, bounded):
 
 def align_reference(subwords, gold):
     """``align`` over the reference kernel, with the same unbounded retry."""
-    lead_gold, view, normed = _prepare(subwords, gold)
-    g = view.normalized
+    lead_gold, g, cuts, normed = _prepare(subwords, gold)
     solved = reference_solve_dp(normed, g, bounded=True)
     if solved is None:
         solved = reference_solve_dp(normed, g, bounded=False)
     if solved is None:
         raise AlignmentError("no complete alignment exists")
-    return _alignment(view, lead_gold, solved)
+    return _alignment(cuts, lead_gold, solved)
 
 
 FIG_VOCAB = TokenizerMode.vocab_greedy({" gathe", "rin", " lea", "fes"})
@@ -458,9 +480,11 @@ def retry_instances(draw):
 @given(retry_instances())
 def test_align_matches_reference_kernel_after_unbounded_retry(instance):
     subwords, gold = instance
-    _, view, normed = _prepare(subwords, gold)
-    assert reference_solve_dp(normed, view.normalized, bounded=True) is None
-    assert_same_as_reference(subwords, gold)
+    _, g, _, normed = _prepare(subwords, gold)
+    assert reference_solve_dp(normed, g, bounded=True) is None
+    with RowRecorder() as recorder:
+        assert_same_as_reference(subwords, gold)
+    assert len(recorder.passes) == 2
 
 
 @pytest.mark.parametrize("casing", [CasingMode.CASED, CasingMode.UNCASED])
@@ -478,6 +502,22 @@ def test_align_matches_reference_kernel_on_corpusgen_pairs(tokenizer, casing):
     golds = gold_corpus(5, 11, min_words=6, max_words=14)
     for pair in corrupt_corpus(golds, uncased_noise_config(11)):
         assert_same_as_reference(tokenize(pair.source, tokenizer, casing), pair.gold)
+
+
+def test_align_matches_reference_kernel_over_a_lengthening_fold():
+    # U+0F43 folds to two characters, so the folded gold is longer than the
+    # gold and its spans map back through cuts that repeat an offset
+    gold = "a\u0f43b c\u0f43 \u0f43\u0f43d"
+    assert len(alignment_normalize(gold, {})) == len(gold) + 4
+    for subwords in (
+        [" a\u0f43b", " c\u0f43", " \u0f43\u0f43d"],
+        [" a\u0f42", "\u0fb7b", " c", " \u0f42\u0fb7\u0f42"],
+        [" a", "b", " c\u0f43\u0f43"],
+        [" \u0f42", " \u0fb7"],
+    ):
+        assert_same_as_reference(subwords, gold)
+        assert_same_alignment(subwords, gold)
+    assert align([" a\u0f43b", " c"], "a\u0f43b c").span_texts == [" a\u0f43b", " c"]
 
 
 @pytest.mark.parametrize("run", [1, 2, 3, 7, 13, 14, 15, 25])
@@ -586,17 +626,18 @@ def test_align_matches_reference_kernel_across_space_runs_under_small_bounds(ins
 class RowRecorder:
     """Records the passes, rows and sets of ints of the alignments made inside it.
 
-    ``passes`` holds, per pass of the DP, the arguments of each row in DP
-    order; ``groups`` holds ``(blocks, width, steps)`` per ``_lane_counts``.
+    ``passes`` holds, per pass of the DP (one ``_lane_plan`` each), the
+    arguments of each row in DP order; ``groups`` holds ``(blocks, width,
+    steps)`` per ``_lane_counts``.
     """
 
     def __enter__(self):
         self.passes, self.groups = [], []
-        solve, row, counts = align_module._solve_dp, align_module._row, align_module._lane_counts
+        plan, row, counts = align_module._lane_plan, align_module._row, align_module._lane_counts
 
-        def traced_solve(normed, g, bounded):
+        def traced_plan(*args):
             self.passes.append([])
-            return solve(normed, g, bounded)
+            return plan(*args)
 
         def traced_row(s, g, w_next, limit, hi, *rest):
             nonspace, runs, longest = rest[2:5]
@@ -608,7 +649,7 @@ class RowRecorder:
             return counts(blocks, lanes, steps, g)
 
         self.patch = pytest.MonkeyPatch()
-        self.patch.setattr(align_module, "_solve_dp", traced_solve)
+        self.patch.setattr(align_module, "_lane_plan", traced_plan)
         self.patch.setattr(align_module, "_row", traced_row)
         self.patch.setattr(align_module, "_lane_counts", traced_counts)
         return self
@@ -675,6 +716,7 @@ def test_a_pair_with_lane_widths_of_one_two_and_four_bytes():
     subwords = [" " + w for w in words * 3]
     gold = " ".join(w[:3] + "x" + w[4:] for w in words * 3)
     recorder = assert_grouped_like_reference(subwords, gold)
+    assert len(recorder.passes) == 1  # the span bounds admit a cover
     assert {width for _, width, _ in recorder.groups} == {1, 2, 4}
     # rows of one width share their ints, each in a block of its own lanes
     assert any(len(blocks) > 1 for blocks, _, _ in recorder.groups)

@@ -9,7 +9,7 @@ from gecxform.textnorm import (
     PUNCT_PLACEHOLDER,
     CasingMode,
     alignment_normalize,
-    alignment_normalized_view,
+    alignment_cuts,
     case_diff,
     fold,
     is_alignment_punct,
@@ -86,10 +86,8 @@ def test_normalized_view_provenance_monotone():
     rng = random.Random(14)
     for _ in range(200):
         text = "".join(rng.choice(MIXED_ALPHABET) for _ in range(rng.randint(0, 15)))
-        view = alignment_normalized_view(text, {})
-        assert list(view.provenance) == sorted(view.provenance)
-        assert len(view.normalized) <= len(text) + 0  # marks may only shrink it
-        cuts = view.boundaries()
+        normalized, cuts = alignment_cuts(text, {})
+        assert len(cuts) == len(normalized) + 1
         assert cuts[0] == 0
         assert cuts[-1] == len(text)
         assert cuts == sorted(cuts)
@@ -113,7 +111,7 @@ def test_fold_modes():
     assert fold("İstanbul", CasingMode.UNCASED) == "istanbul"
 
 
-def view_reference(text):
+def cuts_reference(text):
     # the fold of one character at a time, without a memo
     out, prov = [], []
     for idx, ch in enumerate(text):
@@ -125,16 +123,17 @@ def view_reference(text):
             folded = nfd_oracle(ch).lower()
         out.append(folded)
         prov += [idx] * len(folded)
-    return "".join(out), tuple(prov)
+    # the first cut is 0 and the last is the end of the text (one cut if nothing is left)
+    return "".join(out), [0, *prov[1:], len(text)] if prov else [len(text)]
 
 
-# any code point, with combining marks, whitespace variants and "İ" (whose
-# lowercase is two code points) drawn often
+# any code point, with combining marks, whitespace variants, "İ" (whose
+# lowercase is two code points) and U+0F43 (which folds to two) drawn often
 UNICODE_TEXT = st.text(
     st.one_of(
         st.characters(blacklist_categories=("Cs",)),
         st.sampled_from("\u0301\u0308\u0307\u030c \t\n\x0b\x0c\r\x1c\x85\xa0\u2028\u3000"),
-        st.sampled_from("İıẞǅﬁΐё"),
+        st.sampled_from("İıẞǅﬁΐё\u0f43"),
     ),
     max_size=20,
 )
@@ -145,10 +144,10 @@ UNICODE_TEXT = st.text(
 def test_memoized_view_matches_per_character_reference(texts):
     folds = {}  # one memo for all texts, as for a pair's gold and its subwords
     for text in texts:
-        view = alignment_normalized_view(text, folds)
-        assert (view.normalized, view.provenance) == view_reference(text)
-        assert alignment_normalize(text, folds) == view.normalized
-        assert alignment_normalize(text, {}) == view.normalized
+        normalized, cuts = alignment_cuts(text, folds)
+        assert (normalized, cuts) == cuts_reference(text)
+        assert alignment_normalize(text, folds) == normalized
+        assert alignment_normalize(text, {}) == normalized
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
