@@ -13,23 +13,24 @@ the earlier subwords' span bounds can reach. Every start offset of a row is a
 lane of a Python int, and each gold character advances the bit-parallel edit
 distance (Myers 1999; Hyyro 2003 for the global distance) of all lanes at
 once (``_lane_counts``). The distances do not depend on the later rows, so
-the rows of one lane width share one set of ints in groups, each computed
-when its first row runs over a window of lanes bounded before the dynamic
-program (``_lane_plan``); a cost table per subword length and step turns the
-lanes' distances into weights. One pass over the lanes takes two gold
-characters wherever no span bound is near (``_row``). Spans that end in
+the rows of one lane width share one set of ints in groups, each one stream
+that its rows read as they run, over windows of lanes fixed before the
+dynamic program (``_lane_plan``); a cost table per subword length and step
+turns the lanes' distances into weights. One pass over the lanes takes two
+gold characters wherever no span bound is near (``_row``). Spans that end in
 spaces are folded into the span before the spaces, and a lane stops once its
 weight, at most ``0.5 * ls / glen`` (trimmed lengths ``ls`` of the subword
 and ``glen`` of the span), plus the best weight left after it cannot reach
 its best span. Each row is kept, and the spans are read back from the rows
-with the same cost tables.
+with the same cost tables, one distance pass per subword over the ends of
+its start (``edit_distances``).
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate, repeat, tee
 from typing import Sequence
 
 from .textnorm import alignment_cuts, alignment_normalize
@@ -68,23 +69,25 @@ def _peq(pattern: str) -> dict[str, int]:
     return peq
 
 
-def edit_distance(a: str, b: str) -> int:
-    """Unit-cost Levenshtein distance, bit-parallel over the characters of ``a``.
+def edit_distances(a: str, text: str):
+    """Per character of ``text``, the unit-cost Levenshtein distance of ``a`` to ``text`` up to it.
 
     Myers (1999) with the global-distance boundary of Hyyro (2003): ``vp`` and
     ``vn`` hold the +1/-1 vertical deltas of the current DP column, one bit
-    per character of ``a``, and each character of ``b`` advances the column
-    in a constant number of integer operations. ``_row`` runs the same step
-    on many columns at once, one per lane of a wider int; this function
-    prices the spans of the traceback.
+    per character of ``a``, and each character of ``text`` advances the
+    column in a constant number of integer operations. ``_lane_counts`` runs
+    the same step on many columns at once, one per lane of a wider int; this
+    generator prices every end of one span start in the read-back of
+    ``_solve_dp``.
     """
     if not a:
-        return len(b)
+        yield from range(1, len(text) + 1)
+        return
     peq = _peq(a)
     mask = (1 << len(a)) - 1
     high = 1 << (len(a) - 1)
     vp, vn, dist = mask, 0, len(a)
-    for ch in b:
+    for ch in text:
         eq = peq.get(ch, 0)
         xv = eq | vn
         xh = (((eq & vp) + vp) ^ vp) | eq
@@ -97,7 +100,7 @@ def edit_distance(a: str, b: str) -> int:
         hp = (hp << 1) | 1
         vp = ((hn << 1) | ~(xv | hp)) & mask
         vn = hp & xv
-    return dist
+        yield dist
 
 
 @dataclass(frozen=True)
@@ -161,9 +164,13 @@ def _solve_dp(normed: list[str], g: str) -> tuple[float, list[tuple[int, int]]]:
     all, raises ``AlignmentError``. Each row is kept as an ``array('d')``;
     the spans are recovered from them afterwards. A subword at offset ``j``
     is skipped when its row holds the same value as the next row there, else
-    it takes the first end ``e`` whose weight (from the rows' cost tables)
-    plus ``w_next[e]`` gives that value. These are the tie rules: a span must
-    beat skipping, and a longer span must beat a shorter one.
+    it takes the first end ``e`` whose weight plus ``w_next[e]`` gives that
+    value. These are the tie rules: a span must beat skipping, and a longer
+    span must beat a shorter one. One pass of ``edit_distances`` from ``p =
+    nonspace[j]`` prices every end in turn with the rows' cost tables, as
+    ``_row`` defines the weight: an end after a space keeps the weight of
+    the last end before it, and the end ``j + len(s)`` weighs 1.0 where
+    ``g`` holds ``s`` at ``j``.
     """
     m = len(g)
     # nonspace[j]: the first offset at or after j that is not a space
@@ -181,10 +188,10 @@ def _solve_dp(normed: list[str], g: str) -> tuple[float, list[tuple[int, int]]]:
         if m * sum(min(limit, m) for limit in limits) > MAX_PAIR_CELLS:
             raise AlignmentError(f"pair too large: {len(normed)} subwords, {m} gold characters")
         rows = [array("d", [0.0 if nonspace[j] == m else _NEG for j in range(m + 1)])]
-        for s, limit, hi, counts, at in _lane_plan(normed, g, limits, nonspace, longest):
-            rows.append(
-                _row(s, g, rows[-1], limit, hi, counts, at, nonspace, runs, longest, lanes, tables)
-            )
+        for s, limit, lo, hi, counts, at in _lane_plan(normed, g, limits, nonspace, longest):
+            rows.append(_row(
+                s, g, rows[-1], limit, lo, hi, counts, at, nonspace, runs, longest, lanes, tables
+            ))
         if rows[-1][0] != _NEG:
             break
     else:
@@ -198,18 +205,14 @@ def _solve_dp(normed: list[str], g: str) -> tuple[float, list[tuple[int, int]]]:
             stripped = s.strip()
             ls = len(stripped)
             costs = tables[ls]
-            e = nonspace[j] + 1
-            while True:
-                span = g[j:e]
-                if span == s:
-                    weight = 1.0
-                else:
-                    trimmed = span.strip()
-                    t = len(trimmed)
-                    weight = costs[t][edit_distance(stripped, trimmed) - abs(t - ls)]
-                if weight + w_next[e] == value[j]:
+            p = nonspace[j]
+            exact = j + len(s) if g.startswith(s, j) else -1
+            for e, d in enumerate(edit_distances(stripped, g[p:]), p + 1):
+                if g[e - 1] != " ":  # an end after a space weighs what the end before it does
+                    t = e - p
+                    weight = costs[t][d - abs(t - ls)]
+                if (1.0 if e == exact else weight) + w_next[e] == value[j]:
                     break
-                e += 1
         spans.append((j, e))
         j = e
     return rows[0][0], spans
@@ -221,34 +224,41 @@ def _lane_width(ls: int) -> int:
 
 
 def _lane_plan(normed: list[str], g: str, limits: list[int], nonspace: list[int], longest: int):
-    """Per subword from the last one back: ``(s, limit, hi, counts, at)`` for ``_row``.
+    """Per subword from the last one back: ``(s, limit, lo, hi, counts, at)`` for ``_row``.
 
     **Windows.** Row ``i`` runs the lanes ``lo_i..hi_i-1`` for ``nsteps_i =
-    min(limit_i, m)`` steps. ``hi_i`` comes from ``reach``. For ``lo_i``,
-    let ``F_n`` be the first offset whose ``nonspace`` is ``m`` and ``F_i =
-    max(0, F_{i+1} - limit_i)``: row ``i`` is ``-inf`` before ``F_i``, as a
-    row is finite only where a skip or a span of at most ``limit_i`` reaches
-    a finite value of the next row. ``_row`` starts ``nsteps`` before the
-    first finite ``folds[longest][e]``, and a fold looks at most ``longest``
-    offsets ahead, so ``lo_i = max(0, F_{i+1} - longest - nsteps_i)`` is
-    never above it.
+    min(limit_i, m)`` steps; this plan is the only place that sets them.
+    ``hi_i`` comes from ``reach``. For ``lo_i``, let ``F_n`` be the first
+    offset whose ``nonspace`` is ``m`` and ``F_i = max(0, F_{i+1} -
+    limit_i)``: row ``i`` is ``-inf`` before ``F_i``, as a row is finite
+    only where a skip or a span of at most ``limit_i`` reaches a finite
+    value of the next row. A lane can rise above ``-inf`` only if an end
+    within ``nsteps_i`` of it, or the spaces after that end, reach such a
+    value, and a fold looks at most ``longest`` offsets ahead, so the row
+    starts at ``lo_i = max(0, F_{i+1} - longest - nsteps_i)``, never after
+    the first lane that can. The lanes before that one, if any, keep their
+    starting value, which changes no value of the row.
 
     **Groups.** In DP order, a row joins the open group of its lane width
     ``B`` while the group's lanes times steps times ``B`` stay within
     ``GROUP_BYTES``, and takes a block of ``end_i - lo_i`` lanes, ``end_i =
     min(m, hi_i + nsteps_i - 1)``, so the match masks of the next block,
-    shifted down one lane a step, never reach its live lanes. A group's
-    counts (``_lane_counts``) are computed when its first row runs, one byte
-    string per step, and dropped after its last row; lane ``p`` is at byte
-    ``at + p * B``. A row over the budget alone streams its steps, since in
-    the unbounded retry all of them would take ``O(m**2)`` bytes. A row
-    whose pattern or window is empty reads zeros.
+    shifted down one lane a step, never reach its live lanes. A row over the
+    budget on its own is a group of one. A group's counts are one stream
+    (``_lane_counts``, one byte string per step, lane ``p`` at byte ``at +
+    p * B``) that ``itertools.tee`` splits into one copy per row, taken when
+    the row runs and dropped after it. A step is computed when a row first
+    reads it and freed once every copy has read it or gone, so a group's
+    steps live until its last row, and a group of one streams: in the
+    unbounded retry its steps would take ``O(m**2)`` bytes. A row whose
+    pattern or window is empty reads zeros.
     """
     m = len(g)
     reach = list(accumulate(limits, initial=0))
     first = nonspace.index(m)  # F_n
     plan = []
-    groups: dict[int, list] = {}  # per lane width, the open group: [blocks, lanes, steps, kept]
+    groups: dict[int, list] = {}  # per lane width, the open group: [blocks, lanes, steps]
+    opened = []
     for i in range(len(normed) - 1, -1, -1):
         s, limit = normed[i], limits[i]
         stripped = s.strip()
@@ -261,27 +271,18 @@ def _lane_plan(normed: list[str], g: str, limits: list[int], nonspace: list[int]
         if stripped and lo < hi:
             B = _lane_width(len(stripped))
             group = groups.get(B)
-            if (end - lo) * nsteps * B > GROUP_BYTES:
-                group = [[], 0, 0, None]  # streamed
-            elif group is None or (group[1] + end - lo) * max(group[2], nsteps) * B > GROUP_BYTES:
-                group = groups[B] = [[], 0, 0, []]
+            if group is None or (group[1] + end - lo) * max(group[2], nsteps) * B > GROUP_BYTES:
+                group = groups[B] = [[], 0, 0]
+                opened.append(group)
             group[0].append((stripped, lo, end))
             group[1] += end - lo
             group[2] = max(group[2], nsteps)
-        plan.append((s, limit, hi, group, (group[1] - end) * B if group else 0))
-    del groups
+        plan.append((s, limit, lo, hi, group, (group[1] - end) * B if group else 0))
+    for group in opened:  # becomes the copies of one stream, one for each of its rows
+        group[:] = tee(_lane_counts(*group, g), len(group[0]))
     zeros = repeat(bytes(m))
-    for k, (s, limit, hi, group, at) in enumerate(plan):
-        plan[k] = None  # so that a group goes with its last row
-        if group is None:
-            counts = zeros
-        elif group[3] is None:
-            counts = _lane_counts(*group[:3], g)
-        else:
-            if not group[3]:
-                group[3] = list(_lane_counts(*group[:3], g))
-            counts = iter(group[3])
-        yield s, limit, hi, counts, at
+    for s, limit, lo, hi, group, at in plan:
+        yield s, limit, lo, hi, group.pop() if group else zeros, at
 
 
 def _lane_counts(blocks: list[tuple[str, int, int]], lanes: int, steps: int, g: str):
@@ -370,6 +371,7 @@ def _row(
     g: str,
     w_next: array,
     limit: int,
+    lo: int,
     hi: int,
     counts,
     at: int,
@@ -381,8 +383,8 @@ def _row(
 ) -> array:
     """Best weight at every start offset up to ``reach`` for subword ``s`` followed by ``w_next``.
 
-    ``hi`` is one past the last lane that runs, and ``counts`` yields the
-    lane counts of each step, lane ``p`` at byte ``at + p * B`` (``_lane_plan``).
+    The lanes ``lo..hi-1`` run, as ``_lane_plan`` sets them, and ``counts``
+    yields the lane counts of each step, lane ``p`` at byte ``at + p * B``.
 
     A start ``j`` may skip ``s`` (``w_next[j]``) or give it a span ``g[j:e]``
     with ``nonspace[j] < e <= j + limit``. Such a span weighs 1.0 for an
@@ -405,11 +407,10 @@ def _row(
 
     **Lanes.** The distances of all starts ``p`` in the window advance
     together, one gold character per step, in a group of rows of the same
-    lane width, computed before the row runs over a window that starts no
-    later than the one below (``_lane_plan``); the row reads the counts of
-    its live lanes from each step's bytes. The running best of every lane is
-    one list, replaced by one comprehension per pass (``_advance``); nothing
-    of a pass outlives it.
+    lane width whose steps are computed as its rows first read them
+    (``_lane_plan``); the row reads the counts of its live lanes from each
+    step's bytes. The running best of every lane is one list, replaced by
+    one comprehension per pass (``_advance``); nothing of a pass outlives it.
 
     **Fold.** An end just after a space costs what the end before the space
     costs, so a run of spaces is folded into the end before it:
@@ -435,8 +436,9 @@ def _row(
     more than 1e-9 (so a tie is never cut) leave the window of live lanes at
     either end, and the steps stop when it is empty. The cut runs after each
     pass, so a lane may stay one step longer than it needs, which is sound:
-    a lane that the cut can drop cannot rise. A lane that no end with a
-    finite tail can reach never enters the window. The cut stops once a
+    a lane that the cut can drop cannot rise. The window starts no later
+    than the first lane that an end with a finite tail can reach, and a
+    lane before that one never rises. The cut stops once a
     track forks, which in the unbounded retry (every cap at the end of
     ``g``) happens only in the last steps, when few lanes are left.
     """
@@ -469,7 +471,6 @@ def _row(
     best = lanes[:]
     tracks: dict[int, list[float]] = {}
     half_ls = 0.5 * ls
-    lo = max(0, next((e for e, x in enumerate(fold) if x != _NEG), m + nsteps) - nsteps)
     # costs[t][c]: the cost of step t for a lane that counts c
     costs = tables.setdefault(ls, [[]])
     for t in range(len(costs), nsteps + 1):

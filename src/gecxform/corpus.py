@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 import unicodedata
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -189,16 +189,6 @@ def load_corpus(path: str | Path, annotator: int = 0) -> list[SentencePair]:
 
 # --- synthetic corruption -----------------------------------------------------
 
-_FLOAT_KEYS = (
-    "substitute_char",
-    "insert_char",
-    "delete_char",
-    "swap_adjacent_chars",
-    "strip_word_diacritics",
-    "toggle_word_casing",
-    "swap_adjacent_words",
-)
-
 
 @dataclass(frozen=True)
 class CorruptionConfig:
@@ -226,6 +216,10 @@ class CorruptionConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
         if not self.alphabet:
             raise ValueError("alphabet must be non-empty")
+
+
+# the probabilities, which config files set as floats (annotations are strings here)
+_FLOAT_KEYS = tuple(f.name for f in fields(CorruptionConfig) if f.type == "float")
 
 
 def _corrupt_word_chars(

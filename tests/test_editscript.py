@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpusgen import ALPHABETS
-from gecxform.align import edit_distance
 from gecxform.editscript import (
     DELETE,
     INSERT,
@@ -28,6 +27,7 @@ from gecxform.editscript import (
 )
 from gecxform.errors import FormatError
 from gecxform.textnorm import CasingMode, fold
+from test_align import lev_cells
 
 C = CasingMode.CASED
 U = CasingMode.UNCASED
@@ -52,7 +52,7 @@ def test_edit_script_minimality_and_replay():
         src = random_word(rng)
         dst = random_word(rng)
         script = minimal_edit_script(src, dst)
-        assert len(script) == edit_distance(src, dst)
+        assert len(script) == lev_cells(src, dst)
         assert apply_char_transformation(build_char_transformation(src, dst, C), src) == dst
 
 
@@ -151,7 +151,7 @@ def test_build_base_edit_count_is_minimal():
         unit = random_word(rng, "abcd", max_len=8)
         gold = random_word(rng, "abcd", max_len=8)
         t = build_char_transformation(unit, gold, C)
-        assert len(t.base_edits) == edit_distance(unit, gold)
+        assert len(t.base_edits) == lev_cells(unit, gold)
 
 
 def test_build_unreachable_downcase():
