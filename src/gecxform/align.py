@@ -324,6 +324,7 @@ def _lane_counts(blocks: list[tuple[str, int, int]], lanes: int, steps: int, g: 
     eqs = int.from_bytes("".join(eqs).encode("latin-1"), "little")
     mask = int.from_bytes(b"".join(masks), "little")
     first = int.from_bytes(b"".join(firsts), "little")
+    del masks, firsts
     adj = int.from_bytes(one * lanes, "little")
     high = adj << (W - 2)
     vp, vn, r = mask, 0, 0
@@ -340,6 +341,7 @@ def _lane_counts(blocks: list[tuple[str, int, int]], lanes: int, steps: int, g: 
         hp = (hp << 1) | first
         vp = ((hn << 1) | ~(xv | hp)) & mask
         vn = hp & xv
+        del eq, xv, xh, hp, hn  # the stream waits at the yield while its rows run
         yield r.to_bytes(size, "little")
 
 

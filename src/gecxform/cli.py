@@ -258,11 +258,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return _write_output(args, rows_to_tsv(rows), f"wrote {len(rows)} analysis rows")
 
 
+def _gold_lines(text: str) -> list[str]:
+    """The non-blank lines of a gold file; a tab, which its TSV pair could not hold, is refused."""
+    lines = split_lines(text)
+    for lineno, line in enumerate(lines, 1):
+        if "\t" in line:
+            raise FormatError(f"line {lineno}: a gold sentence cannot hold a tab")
+    return [line for line in lines if line.strip()]
+
+
 def cmd_corrupt(args: argparse.Namespace) -> int:
     config = load_corruption_config(args.config) if args.config else CorruptionConfig()
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    golds = [line for line in load_text(args.input, split_lines) if line.strip()]
+    golds = load_text(args.input, _gold_lines)
     pairs = corrupt_corpus(golds, config)
     return _write_output(args, serialize_tsv(pairs), f"corrupted {len(pairs)} sentences")
 

@@ -176,7 +176,16 @@ def parse_tsv(text: str) -> list[SentencePair]:
     return pairs
 
 
+# What a TSV sentence cannot hold: the field separator, and the line breaks
+# that ``load_text`` reads as "\n".
+_TSV_BREAKS = frozenset("\t\n\r")
+
+
 def serialize_tsv(pairs: list[SentencePair]) -> str:
+    """``source<TAB>gold`` lines; a sentence that ``parse_tsv`` could not read back raises."""
+    for index, p in enumerate(pairs):
+        if not _TSV_BREAKS.isdisjoint(p.source + p.gold):
+            raise ValueError(f"pair {index}: a TSV sentence cannot hold a tab or a line break")
     return "".join(f"{p.source}\t{p.gold}\n" for p in pairs)
 
 
@@ -216,6 +225,8 @@ class CorruptionConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
         if not self.alphabet:
             raise ValueError("alphabet must be non-empty")
+        if not _TSV_BREAKS.isdisjoint(self.alphabet):
+            raise ValueError("alphabet cannot hold a tab or a line break")
 
 
 # the probabilities, which config files set as floats (annotations are strings here)

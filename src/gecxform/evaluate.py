@@ -6,8 +6,10 @@ edits come from the same extractor (TSV corpora), but not M2-compatible: an
 annotated span that the minimal script cuts differently never matches, so a
 hypothesis equal to the gold can score 0 (see :func:`score`).
 
-Oracle upper bounds correct each pair over several rounds, tokenizing and
-aligning the text of every round against the gold. An :class:`OracleMemo`
+Oracle upper bounds correct each pair over several rounds. Each round encodes
+the text it is given against the gold as :func:`gecxform.transform.encode`
+does (tokenize, align, label each unit) and decodes the labels as ``apply``
+does, through :func:`gecxform.transform.apply_labels`. An :class:`OracleMemo`
 holds the work that does not depend on the dictionary: alignments keyed by
 the DP's input ``(tuple(subwords), gold)``, transformations keyed by ``(unit,
 span, grain, casing)`` and extracted edits keyed by ``(source, text)``. One
@@ -25,7 +27,7 @@ from typing import Iterable
 from .corpus import SentencePair
 from .editscript import INSERT, REPLACE, minimal_edit_script
 from .textnorm import CasingMode
-from .tokenizer import TokenizerMode, detokenize
+from .tokenizer import TokenizerMode
 # not called here: perfbench/tracing.py wraps these names
 from .editscript import apply_transformation
 from .tokenizer import tokenize
@@ -34,7 +36,9 @@ from .transform import (
     AlignmentMemo,
     BuildMemo,
     GranularityMode,
+    LabeledSentence,
     TransformationDictionary,
+    apply_labels,
     corpus_unit_data,
     counts_from_unit_data,
     dictionary_from_counts,
@@ -187,8 +191,6 @@ def _upper_bound_outputs(
     iterations: int,
     memo: OracleMemo,
 ) -> list[str]:
-    # A label other than uncorrectable rewrites its unit into its span (a lookup
-    # hit was built to, a fallback hit tested to).
     outputs = []
     for pair in pairs:
         current = pair.source
@@ -202,10 +204,8 @@ def _upper_bound_outputs(
                 )
             except ValueError:
                 break  # pair cannot be aligned; leave it as it stands
-            out = detokenize([
-                span if dictionary.label(unit, span, memo.builds) else unit
-                for unit, span in zip(units, spans)
-            ])
+            labels = tuple(dictionary.label(u, s, memo.builds) for u, s in zip(units, spans))
+            out = apply_labels(LabeledSentence(tuple(units), labels), dictionary)
             if out == current:
                 break
             current = out
@@ -223,10 +223,12 @@ def oracle_upper_bound(
 ) -> OracleAnalysisRow:
     """Score the corpus as if every encoded label were predicted perfectly.
 
-    Each round re-tokenizes the text the previous round produced and aligns
-    it to the gold; a round whose subwords were aligned before reuses their
-    spans. ``memo`` holds that work keyed by ``(tuple(subwords), gold)``, the
-    built transformations keyed by ``(unit, span, grain, casing)`` and the
+    Each round re-tokenizes the text the previous round produced, aligns it
+    to the gold, labels its units and decodes them with
+    :func:`gecxform.transform.apply_labels`, as ``encode`` and ``apply`` do;
+    a round whose subwords were aligned before reuses their spans. ``memo``
+    holds that work keyed by ``(tuple(subwords), gold)``, the built
+    transformations keyed by ``(unit, span, grain, casing)`` and the
     extracted edits keyed by ``(source, text)``. Passing one memo to several
     calls shares the work between dictionaries; without it, a fresh memo
     serves this call alone.

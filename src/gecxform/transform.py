@@ -436,7 +436,11 @@ def encode(
 
 
 def apply_labels(labeled: LabeledSentence, dictionary: TransformationDictionary) -> str:
-    """Decode labels back to text; unknown ids raise, inapplicable labels keep the unit."""
+    """Decode labels back to text; unknown ids raise, inapplicable labels keep the unit.
+
+    This is the one decode: ``apply`` and the oracle rounds of
+    :mod:`gecxform.evaluate` both turn labels into text here and nowhere else.
+    """
     out = []
     for unit, ident in zip(labeled.units, labeled.labels):
         result = apply_transformation(dictionary.transformation_for(ident), unit)

@@ -1,11 +1,17 @@
 import json
+import tempfile
 import time
 import unicodedata
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gecxform.cli import main
-from gecxform.transform import load_dictionary
+from gecxform.cli import _parse_labels, _unaligned_record, main
+from gecxform.corpus import SentencePair, load_corpus, load_text, serialize_tsv
+from gecxform.tokenizer import TokenizerMode
+from gecxform.transform import ALL_MODES, encode, load_dictionary
 
 FIG_TSV = "gatherin leafes\tGathering leaves\n"
 FIG_VOCAB_TEXT = " gathe\nrin\n lea\nfes\n"
@@ -161,9 +167,14 @@ M2_BLOCK = "S a b\nA {}|||R|||c|||REQUIRED|||-NONE-|||0\n"
         ("config", "nonsense=1\n", "line 1: unknown key 'nonsense'"),
         ("neighbors", "a\tq\nab\tq\n", "line 2: expected char<TAB>neighbors"),
         ("hypothesis", "a c\nextra\n", "2 lines for 1 sentence pairs"),
+        # a tab in a gold line or in the alphabet would split the TSV that corrupt
+        # writes; lines count before blank lines are dropped
+        ("input", "a c\n\nAhoj\tsvete jak se mas\n", "line 3: a gold sentence cannot hold a tab"),
+        ("config", "seed=1\nalphabet=ab\tc\n", "line 2: alphabet cannot hold a tab"),
     ],
     ids=["span-not-int", "span-reversed", "span-past-end", "empty-vocab", "config-no-equals",
-         "config-unknown-key", "neighbors-line", "hypothesis-length"],
+         "config-unknown-key", "neighbors-line", "hypothesis-length", "gold-tab",
+         "alphabet-tab"],
 )
 def test_bad_input_exits_2_naming_file_and_line(inputs, tmp_path, capsys, reader, text, where):
     inputs[reader].write_text(text, encoding="utf-8")
@@ -379,6 +390,37 @@ def test_encode_labels_unalignable_pairs_uncorrectable(tmp_path, capsys, caplog)
     assert run("apply", labels, "--dict", dict_path, "--out", decoded) == 0
     assert decoded.read_text() == "a b\n\nfoo\n"
     assert run("evaluate", corpus, "--hypothesis", decoded) == 0
+
+
+# sentences with what JSON escapes and what other line readers split at
+LABEL_TEXT = st.text(st.sampled_from('aáčAb .,"\\\x0c\x85\u2028'), max_size=12)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.lists(st.builds(SentencePair, LABEL_TEXT, LABEL_TEXT), min_size=1, max_size=4),
+    st.sampled_from([mode.label for mode in ALL_MODES]),
+    st.sampled_from(["cased", "uncased"]),
+    st.sampled_from([TokenizerMode.word(), TokenizerMode.char_chunks(2)]),
+)
+def test_encode_writes_the_records_that_encode_returns(pairs, mode, casing, tokenizer):
+    flags = ["--tokenizer", tokenizer.kind, "--chunk-size", tokenizer.chunk_size]
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus, dict_path, labels = (Path(tmp) / name for name in ("c.tsv", "c.dict", "c.labels"))
+        corpus.write_text(serialize_tsv(pairs), encoding="utf-8")
+        assert run("induce", corpus, "--mode", mode, "--casing", casing, *flags,
+                   "--out", dict_path) == 0
+        assert run("encode", corpus, "--dict", dict_path, *flags, "--out", labels) == 0
+        dictionary = load_dictionary(dict_path)
+        records = load_text(labels, _parse_labels, dictionary.size)
+        loaded = load_corpus(corpus)
+    expected = []
+    for pair in loaded:
+        try:
+            expected.append(encode(pair.source, pair.gold, dictionary, tokenizer))
+        except ValueError:
+            expected.append(_unaligned_record(pair.source, dictionary, tokenizer))
+    assert records == expected
 
 
 def test_a_hostile_pair_is_skipped_in_bounded_time(tmp_path, capsys, caplog):

@@ -3,6 +3,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gecxform
 from gecxform.corpus import (
@@ -178,6 +180,58 @@ def test_parse_tsv_field_count_error():
 def test_tsv_round_trip():
     pairs = parse_tsv("a\tb\nc d\te f\n")
     assert parse_tsv(serialize_tsv(pairs)) == pairs
+
+
+def test_serialize_tsv_refuses_what_parse_tsv_cannot_read_back():
+    for source, gold in [("a\tb", "a b"), ("a b", "a\nb"), ("a\rb", "a b")]:
+        with pytest.raises(ValueError, match="pair 1: .* tab or a line break"):
+            serialize_tsv([SentencePair("x", "x"), SentencePair(source, gold)])
+
+
+# any character a TSV sentence can hold, mostly the separators of other readers
+TSV_TEXT = st.text(
+    st.sampled_from(" \x0b\x0c\x1c\x85\u2028|;č") | st.characters(exclude_characters="\t\n\r"),
+    max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.builds(SentencePair, TSV_TEXT, TSV_TEXT), max_size=4))
+def test_tsv_reads_back_as_written(pairs):
+    assert parse_tsv(serialize_tsv(pairs)) == pairs
+
+
+# an M2 token: no whitespace, and no "|" that could end an A-line field
+M2_TOKEN = st.text(st.characters(exclude_categories=("Z", "C"), exclude_characters="|"),
+                   min_size=1, max_size=4)
+
+
+@st.composite
+def m2_pairs(draw):
+    """A pair as an M2 block holds it: source tokens apart by spaces, and the
+    disjoint edits of two annotators, insertions and deletions among them."""
+    tokens = draw(st.lists(M2_TOKEN, min_size=1, max_size=6))
+    pad = st.sampled_from(["", " ", "\x0c"])
+    source = draw(pad) + draw(st.sampled_from([" ", "  ", "\xa0"])).join(tokens) + draw(pad)
+    edits = []
+    for annotator in (0, 1):
+        cuts = sorted(draw(st.sets(st.integers(0, len(tokens)), max_size=4)))
+        for start, end in zip(cuts[::2], cuts[1::2]):
+            if draw(st.booleans()):
+                end = start
+            correction = " ".join(draw(st.lists(M2_TOKEN, max_size=2)))
+            edits.append(GoldEdit(start, end, "T", correction, annotator))
+    return SentencePair(source, "", tuple(edits))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(m2_pairs(), min_size=1, max_size=3), st.data())
+def test_m2_pairs_written_as_tsv_read_back(pairs, data):
+    annotators = sorted({e.annotator for p in pairs for e in p.gold_edits}) or [0]
+    read = parse_m2(serialize_m2(pairs), data.draw(st.sampled_from(annotators)))
+    assert [(p.source, p.gold) for p in parse_tsv(serialize_tsv(read))] == [
+        (p.source, p.gold) for p in read
+    ]
 
 
 def test_load_corpus_dispatches_on_extension(tmp_path):

@@ -273,6 +273,40 @@ def test_parse_round_trip_random_transformations():
         assert serialize_transformation(parse_transformation(line)) == line
 
 
+# the characters that the line format escapes or that its syntax uses, its
+# escapes themselves, a tab and non-ASCII, beside any other character
+PAYLOADS = st.lists(
+    st.sampled_from(["%", ";", "=", "@", " ", "\n", "\t", "č", "€", "%20", "%25", "%3B", "%0A"])
+    | st.characters(),
+    min_size=1, max_size=5,
+).map("".join)
+
+
+@st.composite
+def rules(draw, grain):
+    """A character or string rule whose payloads may hold any character."""
+    if grain == "string":
+        op = draw(st.sampled_from(["replace", "append", "prepend"]))
+        return StringTransformation(op, draw(PAYLOADS))
+    edits = {"base": [], "case": [], "dia": []}
+    for kind in draw(st.lists(st.sampled_from(["ins", "rep", "del", "upc", "dia"]), max_size=4)):
+        payload = "" if kind in ("del", "upc") else draw(PAYLOADS)
+        group = {"upc": "case", "dia": "dia"}.get(kind, "base")
+        edits[group].append(
+            CharEdit(kind, draw(st.sampled_from("se")), draw(st.integers(1, 99)),
+                     payload[:1] if kind == "dia" else payload)
+        )
+    return CharTransformation(*(tuple(edits[group]) for group in ("base", "case", "dia")))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(["char", "string"]).flatmap(rules))
+def test_serialized_rules_parse_back(rule):
+    line = serialize_transformation(rule)
+    assert "\n" not in line
+    assert parse_transformation(line) == rule
+
+
 def test_parse_rejects_malformed():
     for bad in ["NOPE", "CHAR xyz", "CHAR ins@s1", "CHAR del@s1=x", "REPLACE"]:
         with pytest.raises(FormatError):

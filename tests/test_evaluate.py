@@ -1,6 +1,7 @@
 import tempfile
 import unicodedata
 from collections import Counter
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -38,7 +39,9 @@ from gecxform.transform import (
     GranularityMode,
     TransformationDictionary,
     DictEntry,
+    apply_labels,
     dumps_dictionary,
+    encode,
     induce,
 )
 
@@ -198,6 +201,31 @@ def test_upper_bound_self_induced_is_perfect_on_decomposed_input(pairs):
             mode = GranularityMode("char", unit)
             dictionary = induce(loaded, mode, U, min_count=1, tokenizer=tokenizer)
             assert oracle_upper_bound(loaded, dictionary, tokenizer).counts.f_half == 1.0
+
+
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(st.integers(0, 10_000))
+def test_an_oracle_round_is_encode_then_apply(seed):
+    # held-out, so that labels come from the fallback scan and some are 0
+    for casing, noise in ((U, uncased_noise_config), (CasingMode.CASED, cased_noise_config)):
+        train = corrupted_corpus(6, seed, noise(seed))
+        held_out = corrupted_corpus(4, seed + 1, noise(seed + 1))
+        for mode, tokenizer in product(
+            ALL_MODES, (TokenizerMode.word(), TokenizerMode.char_chunks(2))
+        ):
+            dictionary = induce(train, mode, casing, min_count=1, tokenizer=tokenizer)
+            outputs = evaluate_module._upper_bound_outputs(
+                held_out, dictionary, tokenizer, 1, OracleMemo()
+            )
+            for pair, out in zip(held_out, outputs):
+                if pair.source == pair.gold:
+                    assert out == pair.source  # a pair at its gold takes no round
+                    continue
+                try:
+                    labeled = encode(pair.source, pair.gold, dictionary, tokenizer)
+                except ValueError:
+                    continue
+                assert out == apply_labels(labeled, dictionary)
 
 
 # --- analysis sweep -----------------------------------------------------------

@@ -1,9 +1,11 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gecxform.transform as transform_module
-from corpusgen import corrupted_corpus, uncased_noise_config
+from corpusgen import corpusgen_vocab, corrupted_corpus, uncased_noise_config
 from gecxform.corpus import SentencePair
 from gecxform.editscript import (
     KEEP,
@@ -16,7 +18,7 @@ from gecxform.editscript import (
     parse_transformation,
 )
 from gecxform.errors import FormatError
-from gecxform.textnorm import CasingMode
+from gecxform.textnorm import CasingMode, fold
 from gecxform.tokenizer import TokenizerMode
 from gecxform.transform import (
     ALL_MODES,
@@ -33,6 +35,7 @@ from gecxform.transform import (
     loads_dictionary,
     unit_pairs,
 )
+from test_editscript import rules
 
 U = CasingMode.UNCASED
 FIG_VOCAB = TokenizerMode.vocab_greedy({" gathe", "rin", " lea", "fes"})
@@ -270,25 +273,36 @@ def test_encode_apply_round_trip_all_modes():
                 assert apply_labels(labeled, dictionary) == pair.gold
 
 
-@settings(max_examples=50, deadline=None, derandomize=True)
-@given(
-    st.sampled_from(ALL_MODES),
-    st.sampled_from(list(CasingMode)),
-    st.sampled_from([TokenizerMode.word(), TokenizerMode.char_chunks(2)]),
-    st.integers(0, 10_000),
-)
-def test_labelled_units_decode_to_their_gold_spans(mode, casing, tokenizer, seed):
+def corpusgen_tokenizer(kind: str, casing: CasingMode) -> TokenizerMode:
+    """The word, chars-2 or corpusgen-vocabulary tokenizer; uncased, the pieces are folded."""
+    if kind == "word":
+        return TokenizerMode.word()
+    if kind == "chars":
+        return TokenizerMode.char_chunks(2)
+    return TokenizerMode.vocab_greedy({fold(piece, casing) for piece in corpusgen_vocab()})
+
+
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(st.integers(0, 10_000))
+def test_labelled_units_decode_to_their_gold_spans(seed):
     # held-out pairs miss the lookup, so fallback hits are tested as well
     train = corrupted_corpus(5, seed, uncased_noise_config(seed))
     held_out = corrupted_corpus(3, seed + 1, uncased_noise_config(seed + 1))
-    dictionary = induce(train, mode, casing, min_count=1, tokenizer=tokenizer)
-    for pair in train + held_out:
-        units, spans = unit_pairs(pair.source, pair.gold, mode, casing, tokenizer)
-        labeled = encode(pair.source, pair.gold, dictionary, tokenizer)
-        assert labeled.units == tuple(units)
-        for unit, span, label in zip(units, spans, labeled.labels):
-            if label != UNCORRECTABLE_ID:
-                assert apply_transformation(dictionary.transformation_for(label), unit) == span
+    for mode, casing, kind in product(ALL_MODES, CasingMode, ["word", "vocab", "chars"]):
+        tokenizer = corpusgen_tokenizer(kind, casing)
+        dictionary = induce(train, mode, casing, min_count=1, tokenizer=tokenizer)
+        for pair in train + held_out:
+            units, spans = unit_pairs(pair.source, pair.gold, mode, casing, tokenizer)
+            labeled = encode(pair.source, pair.gold, dictionary, tokenizer)
+            assert labeled.units == tuple(units)
+            for unit, span, label in zip(units, spans, labeled.labels):
+                if label != UNCORRECTABLE_ID:
+                    assert apply_transformation(dictionary.transformation_for(label), unit) == span
+            if UNCORRECTABLE_ID not in labeled.labels:
+                assert apply_labels(labeled, dictionary) == pair.gold
+            elif casing is U and mode.grain == "char":
+                # uncased, every character rule is reachable, so in-sample none is 0
+                assert pair not in train, labeled
 
 
 # few letters, so that several rules often rewrite a unit into one span:
@@ -398,6 +412,22 @@ def test_dictionary_file_round_trip():
     assert loaded.casing == dictionary.casing
     assert loaded.entries == dictionary.entries
     assert dumps_dictionary(loaded) == text
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(ALL_MODES),
+    st.sampled_from(list(CasingMode)),
+    st.integers(1, 5),
+    st.lists(st.integers(0, 10**6), min_size=2, max_size=2),
+    st.data(),
+)
+def test_dictionary_files_read_back_as_written(mode, casing, min_count, reserved, data):
+    drawn = data.draw(st.lists(rules(mode.grain), max_size=8, unique=True))
+    entries = [DictEntry(0, reserved[0], UNCORRECTABLE), DictEntry(1, reserved[1], KEEP)]
+    entries += [DictEntry(i, data.draw(st.integers(0, 10**6)), r) for i, r in enumerate(drawn, 2)]
+    dictionary = TransformationDictionary(mode, casing, min_count, tuple(entries))
+    assert loads_dictionary(dumps_dictionary(dictionary)) == dictionary
 
 
 def test_dictionary_file_errors():
