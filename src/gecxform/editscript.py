@@ -110,6 +110,8 @@ def minimal_edit_script(src, dst) -> list[tuple[int, str, str]]:
     appending at the end. At equal cost the backtrace prefers match, then
     replace, delete, insert. Script length equals the edit distance.
     """
+    if src == dst:
+        return []  # no table to fill: case- and diacritic-only units land here
     n, m = len(src), len(dst)
     dist = [list(range(m + 1))]
     for i, sc in enumerate(src, 1):

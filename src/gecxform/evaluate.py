@@ -14,9 +14,12 @@ holds the work that does not depend on the dictionary: alignments keyed by
 the DP's input ``(tuple(subwords), gold)``, transformations keyed by ``(unit,
 span, grain, casing)`` and extracted edits keyed by ``(source, text)``. One
 memo lives for one :func:`analyze` call, so its sweep over many dictionaries
-and iteration counts aligns each subword sequence, builds each rule and
-extracts each edit set once. Labels belong to the dictionary, which memoizes
-them, so all iteration counts of one dictionary label each unit once.
+aligns each subword sequence, builds each rule and extracts each edit set
+once. Labels belong to the dictionary, which memoizes them. Iteration counts
+share one correction run: :func:`oracle_upper_bound` takes every count at
+once and runs each pair to the deepest one, keeping the text of every round,
+so a dictionary tokenizes, labels and decodes each round once however many
+counts the sweep asks for.
 """
 
 from __future__ import annotations
@@ -188,13 +191,22 @@ def _upper_bound_outputs(
     pairs: list[SentencePair],
     dictionary: TransformationDictionary,
     tokenizer: TokenizerMode,
-    iterations: int,
+    iterations: tuple[int, ...],
     memo: OracleMemo,
-) -> list[str]:
-    outputs = []
+) -> list[list[str]]:
+    """The oracle outputs after each count of ``iterations`` rounds, one list per count.
+
+    Each pair runs once, to the deepest count. A pair that stops early (at its
+    gold, when it cannot be aligned, or after a round that changes nothing)
+    would stop there under every larger count too, so the output after ``k``
+    rounds is the text of round ``min(k, rounds run)``.
+    """
+    deepest = max(iterations, default=0)
+    outputs: list[list[str]] = [[] for _ in iterations]
     for pair in pairs:
-        current = pair.source
-        for _ in range(iterations):
+        texts = [pair.source]  # texts[r]: the text after r rounds
+        while len(texts) <= deepest:
+            current = texts[-1]
             if current == pair.gold:
                 break  # gold reached: a further round would keep every unit
             try:
@@ -208,8 +220,9 @@ def _upper_bound_outputs(
             out = apply_labels(LabeledSentence(tuple(units), labels), dictionary)
             if out == current:
                 break
-            current = out
-        outputs.append(current)
+            texts.append(out)
+        for count, outs in zip(iterations, outputs):
+            outs.append(texts[min(count, len(texts) - 1)])
     return outputs
 
 
@@ -217,14 +230,18 @@ def oracle_upper_bound(
     pairs: list[SentencePair],
     dictionary: TransformationDictionary,
     tokenizer: TokenizerMode = TokenizerMode.word(),
-    iterations: int = 1,
+    iterations: tuple[int, ...] = (1,),
     annotator: int = 0,
     memo: OracleMemo | None = None,
-) -> OracleAnalysisRow:
+) -> list[OracleAnalysisRow]:
     """Score the corpus as if every encoded label were predicted perfectly.
 
-    Each round re-tokenizes the text the previous round produced, aligns it
-    to the gold, labels its units and decodes them with
+    Returns one row per count of ``iterations``, in the order given,
+    duplicates included. One correction run per pair serves every count: it
+    goes to the deepest count and stops early at the gold, when the pair
+    cannot be aligned, or after a round that changes nothing. Each round
+    re-tokenizes the text the previous round produced, aligns it to the gold,
+    labels its units and decodes them with
     :func:`gecxform.transform.apply_labels`, as ``encode`` and ``apply`` do;
     a round whose subwords were aligned before reuses their spans. ``memo``
     holds that work keyed by ``(tuple(subwords), gold)``, the built
@@ -235,22 +252,22 @@ def oracle_upper_bound(
     """
     if memo is None:
         memo = OracleMemo()
+    gold_edits = [pair_gold_edits(pair, annotator, memo.edits) for pair in pairs]
     outputs = _upper_bound_outputs(pairs, dictionary, tokenizer, iterations, memo)
-    counts = score(
-        (
-            (pair.source, out, pair_gold_edits(pair, annotator, memo.edits))
-            for pair, out in zip(pairs, outputs)
-        ),
-        memo.edits,
-    )
-    return OracleAnalysisRow(
-        mode=dictionary.mode,
-        casing=dictionary.casing,
-        min_count=dictionary.min_count,
-        iterations=iterations,
-        dictionary_size=dictionary.size,
-        counts=counts,
-    )
+    return [
+        OracleAnalysisRow(
+            mode=dictionary.mode,
+            casing=dictionary.casing,
+            min_count=dictionary.min_count,
+            iterations=count,
+            dictionary_size=dictionary.size,
+            counts=score(
+                ((pair.source, out, gold) for pair, out, gold in zip(pairs, outs, gold_edits)),
+                memo.edits,
+            ),
+        )
+        for count, outs in zip(iterations, outputs)
+    ]
 
 
 def analyze(
@@ -268,6 +285,8 @@ def analyze(
     lives for this call. Each ``(subwords, gold)`` is thus aligned, each
     ``(unit, span, grain)`` built and each ``(source, text)`` edit set
     extracted at most once per call, a pair that cannot be aligned included.
+    Each dictionary takes one :func:`oracle_upper_bound` call, whose single
+    correction run per pair yields the rows of all ``iteration_counts``.
     Under the word tokenizer every word is exactly one subword in every
     round, so only the ``*-at-subword`` configurations are evaluated and each
     ``*-at-word`` row is a copy with its mode replaced.
@@ -285,10 +304,9 @@ def analyze(
             continue
         for min_count in min_counts:
             dictionary = dictionary_from_counts(counters[mode], mode, casing, min_count)
-            rows += [
-                oracle_upper_bound(pairs, dictionary, tokenizer, iterations, annotator, memo)
-                for iterations in iteration_counts
-            ]
+            rows += oracle_upper_bound(
+                pairs, dictionary, tokenizer, iteration_counts, annotator, memo
+            )
     return rows
 
 

@@ -1,6 +1,7 @@
 """Normalization primitives: lowercasing, diacritics stripping, punctuation folding.
 
-Everything in this module is a pure function over immutable values.
+Everything in this module is a pure function over immutable values;
+:func:`strip_diacritics` memoizes single characters without changing that.
 """
 
 from __future__ import annotations
@@ -35,18 +36,33 @@ def is_alignment_punct(ch: str) -> bool:
     return cat.startswith("P") or cat in _SYMBOL_PUNCT_CATEGORIES
 
 
+# strip_diacritics of each single non-ASCII character read so far; a pure
+# function of one code point, so it holds at most one entry per character
+_STRIPPED_CHARS: dict[str, str] = {}
+
+
 def strip_diacritics(text: str) -> str:
     """Drop all combining marks after canonical decomposition, then recompose.
 
     Base letters are preserved in order; standalone combining marks vanish.
     Idempotent. ASCII text is returned as it is: it has no combining marks and
-    no decompositions.
+    no decompositions. A single non-ASCII character is stripped once and then
+    read from a module table, as rule builds, decodes and the label filter
+    strip one character at a time.
     """
     if text.isascii():
         return text
+    single = len(text) == 1
+    if single:
+        stripped = _STRIPPED_CHARS.get(text)
+        if stripped is not None:
+            return stripped
     decomposed = unicodedata.normalize("NFD", text)
     kept = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
-    return unicodedata.normalize("NFC", kept)
+    stripped = unicodedata.normalize("NFC", kept)
+    if single:
+        _STRIPPED_CHARS[text] = stripped
+    return stripped
 
 
 def alignment_cuts(text: str, folds: dict[str, str]) -> tuple[str, list[int]]:

@@ -74,8 +74,10 @@ def uncased_noise_config(seed: int) -> CorruptionConfig:
 
 
 def cased_noise_config(seed: int) -> CorruptionConfig:
-    # No upward case toggles: an in-place downcase is not expressible by a
-    # character program, so cased-mode corpora stay within the encodable set.
+    # No case toggles in either direction. Only a toggle that capitalizes a
+    # source word needs the in-place downcase that a character program cannot
+    # express, but CorruptionConfig cannot toggle one direction alone; so
+    # cased-mode corpora stay within the encodable set.
     return CorruptionConfig(
         substitute_char=0.03,
         insert_char=0.02,

@@ -151,7 +151,7 @@ def test_upper_bound_self_induced_is_perfect():
         uncased_noise_config(3),
     )
     dictionary = induce(pairs, CHAR_SUB, U, min_count=1, tokenizer=CHUNKS)
-    row = oracle_upper_bound(pairs, dictionary, CHUNKS)
+    [row] = oracle_upper_bound(pairs, dictionary, CHUNKS)
     assert row.counts.f_half == 1.0
     assert row.dictionary_size == dictionary.size
     assert row.min_count == 1
@@ -159,7 +159,7 @@ def test_upper_bound_self_induced_is_perfect():
 
 def test_upper_bound_reserved_dictionary_scores_zero():
     pairs = [SentencePair("kocka leze", "Kočka leze")]
-    row = oracle_upper_bound(pairs, reserved_only_dictionary(), CHUNKS)
+    [row] = oracle_upper_bound(pairs, reserved_only_dictionary(), CHUNKS)
     assert row.counts.f_half == 0.0
 
 
@@ -168,8 +168,8 @@ def test_upper_bound_iterations_preserve_perfect_scores():
     # gold in round 1; extra allowed rounds must not disturb that
     pairs = suffix_error_pairs(60, seed=9)
     dictionary = induce(pairs, CHAR_SUB, U, min_count=1, tokenizer=CHUNKS)
-    one = oracle_upper_bound(pairs, dictionary, CHUNKS, iterations=1)
-    four = oracle_upper_bound(pairs, dictionary, CHUNKS, iterations=4)
+    one, four = oracle_upper_bound(pairs, dictionary, CHUNKS, iterations=(1, 4))
+    assert (one.iterations, four.iterations) == (1, 4)
     assert one.counts.f_half == 1.0
     assert four.counts.f_half == 1.0
 
@@ -200,7 +200,8 @@ def test_upper_bound_self_induced_is_perfect_on_decomposed_input(pairs):
         for unit in ("subword", "word"):
             mode = GranularityMode("char", unit)
             dictionary = induce(loaded, mode, U, min_count=1, tokenizer=tokenizer)
-            assert oracle_upper_bound(loaded, dictionary, tokenizer).counts.f_half == 1.0
+            [row] = oracle_upper_bound(loaded, dictionary, tokenizer)
+            assert row.counts.f_half == 1.0
 
 
 @settings(max_examples=5, deadline=None, derandomize=True)
@@ -214,8 +215,8 @@ def test_an_oracle_round_is_encode_then_apply(seed):
             ALL_MODES, (TokenizerMode.word(), TokenizerMode.char_chunks(2))
         ):
             dictionary = induce(train, mode, casing, min_count=1, tokenizer=tokenizer)
-            outputs = evaluate_module._upper_bound_outputs(
-                held_out, dictionary, tokenizer, 1, OracleMemo()
+            [outputs] = evaluate_module._upper_bound_outputs(
+                held_out, dictionary, tokenizer, (1,), OracleMemo()
             )
             for pair, out in zip(held_out, outputs):
                 if pair.source == pair.gold:
@@ -284,10 +285,8 @@ def test_analyze_aligns_each_text_once_and_matches_independent_runs(
     for mode in ALL_MODES:
         for min_count in min_counts:
             dictionary = induce(pairs, mode, casing, min_count, tokenizer=tokenizer)
-            reference += [
-                oracle_upper_bound(pairs, dictionary, tokenizer, iterations)
-                for iterations in iteration_counts
-            ]
+            for iterations in iteration_counts:
+                reference += oracle_upper_bound(pairs, dictionary, tokenizer, (iterations,))
 
     aligned = count_calls(
         monkeypatch, transform_module, "align", lambda subwords, gold: (tuple(subwords), gold)
@@ -332,6 +331,38 @@ def test_analyze_labels_round_1_once_per_dictionary(monkeypatch):
         requests[iteration_counts] = built[None]
         monkeypatch.undo()
     assert requests[1, 4] == requests[4,] > 0
+
+
+@pytest.mark.parametrize("iteration_counts", [(4, 1, 4), (2,)], ids=["4-1-4", "2"])
+def test_analyze_rows_equal_one_count_runs(iteration_counts):
+    # one correction run per dictionary serves every count, in the order
+    # given and duplicates included, as separate one-count runs would
+    pairs = suffix_error_pairs(4, 3) + corrupted_corpus(8, 3, uncased_noise_config(3))
+    tokenizer = TokenizerMode.char_chunks(2)
+    rows = analyze(pairs, U, tokenizer, iteration_counts=iteration_counts)
+    reference = [
+        row
+        for mode in ALL_MODES
+        for min_count in (1, 2, 3)
+        for iterations in iteration_counts
+        for row in oracle_upper_bound(
+            pairs, induce(pairs, mode, U, min_count, tokenizer=tokenizer), tokenizer,
+            (iterations,),
+        )
+    ]
+    assert rows == reference
+
+
+def test_analyze_decodes_as_often_for_one_and_four_rounds_as_for_four(monkeypatch):
+    pairs = suffix_error_pairs(4, 3) + corrupted_corpus(8, 3, uncased_noise_config(3))
+    tokenizer = TokenizerMode.char_chunks(2)
+    decodes = {}
+    for iteration_counts in ((4,), (1, 4)):
+        decoded = count_calls(monkeypatch, evaluate_module, "apply_labels", lambda *args: None)
+        analyze(pairs, U, tokenizer, iteration_counts=iteration_counts)
+        decodes[iteration_counts] = decoded[None]
+        monkeypatch.undo()
+    assert decodes[1, 4] == decodes[4,] > 0
 
 
 @pytest.mark.parametrize("tokenizer", [TokenizerMode.word(), TokenizerMode.char_chunks(2)],
@@ -381,8 +412,9 @@ def test_unalignable_pairs_are_skipped(monkeypatch, caplog):
     assert len(skipped) == len(bad)
 
     memo = OracleMemo()
-    counts = oracle_upper_bound(pairs, dictionary, CHUNKS, iterations=2, memo=memo).counts
-    good_counts = oracle_upper_bound(good, dictionary, CHUNKS, iterations=2).counts
+    [row] = oracle_upper_bound(pairs, dictionary, CHUNKS, iterations=(2,), memo=memo)
+    [good_row] = oracle_upper_bound(good, dictionary, CHUNKS, iterations=(2,))
+    counts, good_counts = row.counts, good_row.counts
     # a bad pair stays its source: no proposed edit, every gold edit missed
     as_source = score((p.source, p.source, pair_gold_edits(p)) for p in bad)
     assert as_source.fp == as_source.tp == 0 and as_source.fn > 0

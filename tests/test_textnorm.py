@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gecxform import textnorm
 from gecxform.textnorm import (
     PUNCT_PLACEHOLDER,
     CasingMode,
@@ -154,4 +155,29 @@ def test_memoized_view_matches_per_character_reference(texts):
 @given(st.text(st.characters(max_codepoint=127)))
 def test_strip_diacritics_returns_ascii_text_itself(text):
     assert strip_diacritics(text) is text
+    assert strip_diacritics(text) == nfd_oracle(text)
+
+
+# any code point (lone surrogates included), Hangul syllables (which decompose
+# to jamo and recompose), U+0F43 (which strips to two code points), "İ" and "ǅ"
+SINGLE_CHARACTERS = st.one_of(
+    st.characters(),
+    st.characters(min_codepoint=0xAC00, max_codepoint=0xD7A3),
+    st.sampled_from("\u0f43İǅ"),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(SINGLE_CHARACTERS)
+def test_a_single_character_strips_to_the_oracle_on_the_first_and_the_memo_call(ch):
+    textnorm._STRIPPED_CHARS.pop(ch, None)
+    expected = nfd_oracle(ch)
+    assert strip_diacritics(ch) == expected
+    assert (ch in textnorm._STRIPPED_CHARS) == (not ch.isascii())
+    assert strip_diacritics(ch) == expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(UNICODE_TEXT)
+def test_strip_diacritics_matches_the_oracle_on_any_text(text):
     assert strip_diacritics(text) == nfd_oracle(text)
