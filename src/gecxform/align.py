@@ -127,11 +127,10 @@ def _prepare(subwords: Sequence[str], gold: str):
     if not gold:
         raise ValueError("alignment requires non-empty gold text")
     lead_gold = WORD_LEAD + gold
-    folds: dict[str, str] = {}
-    g, cuts = alignment_cuts(lead_gold, folds)
+    g, cuts = alignment_cuts(lead_gold)
     if not g.strip():
         raise AlignmentError("gold text contains only whitespace")
-    normed = [alignment_normalize(t, folds) for t in subwords]
+    normed = [alignment_normalize(t) for t in subwords]
     return lead_gold, g, cuts, normed
 
 

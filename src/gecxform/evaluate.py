@@ -63,12 +63,12 @@ def _precision_recall(tp: int, fp: int, fn: int) -> tuple[float, float]:
     return (tp / (tp + fp) if tp + fp else 1.0), (tp / (tp + fn) if tp + fn else 1.0)
 
 
-def f_beta(tp: int, fp: int, fn: int, beta: float = 0.5) -> float:
-    """F measure from micro counts; zero proposed edits count as precision 1."""
+def f_beta(tp: int, fp: int, fn: int) -> float:
+    """F0.5 from micro counts, as the paper scores; zero proposed edits count as precision 1."""
     precision, recall = _precision_recall(tp, fp, fn)
     if precision == 0.0 and recall == 0.0:
         return 0.0
-    b2 = beta * beta
+    b2 = 0.5 * 0.5  # beta 0.5 weighs precision twice as much as recall
     return (1.0 + b2) * precision * recall / (b2 * precision + recall)
 
 
@@ -83,7 +83,7 @@ class EvalCounts:
 
     @classmethod
     def from_counts(cls, tp: int, fp: int, fn: int) -> "EvalCounts":
-        return cls(tp, fp, fn, *_precision_recall(tp, fp, fn), f_beta(tp, fp, fn, 0.5))
+        return cls(tp, fp, fn, *_precision_recall(tp, fp, fn), f_beta(tp, fp, fn))
 
 
 def extract_edits(source_tokens: list[str], hypothesis_tokens: list[str]) -> list[EditTuple]:

@@ -43,9 +43,9 @@ log = logging.getLogger(__name__)
 UNCORRECTABLE_ID = 0
 KEEP_ID = 1
 
-_GRAINS = ("char", "string")
-_UNITS = ("subword", "word")
+# each grain and the rules of a dictionary of that grain
 _GRAIN_RULES = {"char": CharTransformation, "string": StringTransformation}
+_UNITS = ("subword", "word")
 
 DEFAULT_SYNTHETIC_LIMIT = 1000  # synthetic pairs pooled into induction at most
 
@@ -58,7 +58,7 @@ class GranularityMode:
     unit: str
 
     def __post_init__(self) -> None:
-        if self.grain not in _GRAINS or self.unit not in _UNITS:
+        if self.grain not in _GRAIN_RULES or self.unit not in _UNITS:
             raise ValueError(f"invalid granularity: {self.grain}-at-{self.unit}")
 
     @property
@@ -74,7 +74,7 @@ class GranularityMode:
 
 
 ALL_MODES = tuple(
-    GranularityMode(grain, unit) for grain in _GRAINS for unit in _UNITS
+    GranularityMode(grain, unit) for grain in _GRAIN_RULES for unit in _UNITS
 )
 
 
@@ -95,7 +95,10 @@ class EntryError(ValueError):
 
 @dataclass
 class TransformationDictionary:
-    """Induced label set. Entry 0 is always uncorrectable and entry 1 keep."""
+    """Induced label set. Entry 0 is always uncorrectable and entry 1 keep.
+
+    The entries after keep are rules of the mode's grain.
+    """
 
     mode: GranularityMode
     casing: CasingMode
@@ -114,6 +117,9 @@ class TransformationDictionary:
             raise EntryError(KEEP_ID, "entry 1 must be keep")
         self._by_value = {}
         for i, entry in enumerate(self.entries):
+            if i > KEEP_ID and not isinstance(entry.transformation, _GRAIN_RULES[self.mode.grain]):
+                rule = serialize_transformation(entry.transformation)
+                raise EntryError(i, f"{rule!r} is not a {self.mode.grain} rule")
             if entry.ident != i:
                 raise EntryError(i, "entry ids must be dense and ascending")
             if self._by_value.setdefault(entry.transformation, i) != i:
@@ -143,8 +149,9 @@ class TransformationDictionary:
         On a miss, only the entries that can yield the span are applied, in id
         order and through ``apply_transformation``: string rules by lookup
         (``REPLACE`` of the span, ``APPEND`` or ``PREPEND`` of what the span
-        adds to the unit, ``KEEP``), character rules from an index built on
-        the first miss (:func:`_char_index`).
+        adds to the unit), character rules from an index built on the first
+        miss (:func:`_char_index`). ``KEEP`` is never a candidate: a unit equal
+        to its span builds it.
         """
         key = (unit, span)
         if key not in self._labels:
@@ -160,7 +167,15 @@ class TransformationDictionary:
         return self._labels[key]
 
     def _candidates(self, unit: str, span: str) -> list[int]:
-        """The ids, ascending, of the entries in ``entries[1:]`` that can give ``span``."""
+        """The ids, ascending, of the entries in ``entries[2:]`` that can give ``span``."""
+        if self.mode.grain == "string":
+            after = span[len(unit) :] if span.startswith(unit) else ""
+            before = span[: len(span) - len(unit)] if span.endswith(unit) else ""
+            ids = []
+            for op, text in (("replace", span), ("append", after), ("prepend", before)):
+                if text and (i := self._by_value.get(StringTransformation(op, text))) is not None:
+                    ids.append(i)
+            return sorted(ids)
         if self._index is None:
             self._index = _char_index(self.entries)
         by_delta, loose = self._index
@@ -170,27 +185,19 @@ class TransformationDictionary:
         else:
             buckets = [by_delta.get(delta, ())]
         folded, chars = _folded_chars(span), set(span)
-        ids = [
+        return sorted(
             i for rules in (*buckets, loose) for i, folds, marks in rules
             if folds <= folded and marks <= chars
-        ]
-        after = span[len(unit) :] if span.startswith(unit) else ""
-        before = span[: len(span) - len(unit)] if span.endswith(unit) else ""
-        for op, text in (("replace", span), ("append", after), ("prepend", before)):
-            if text and (i := self._by_value.get(StringTransformation(op, text))) is not None:
-                ids.append(i)
-        if unit == span:
-            ids.append(KEEP_ID)
-        return sorted(ids)
+        )
 
 
 def _folded_chars(text: str) -> set[str]:
-    """The characters of ``text`` folded one at a time: lowercased, diacritics stripped."""
-    return {f for c in set(text) for f in fold(c, CasingMode.UNCASED)}
+    """The characters of the uncased fold of ``text``."""
+    return set(fold(text, CasingMode.UNCASED))
 
 
 def _char_index(entries: tuple[DictEntry, ...]):
-    """The character rules of ``entries`` as ``(by_delta, loose)``, for ``label``.
+    """The rules of a char dictionary's ``entries`` as ``(by_delta, loose)``, for ``label``.
 
     A rule ``(id, folds, marks)`` is skipped only on a condition that all of
     its outputs meet. *Length*: the base edits give ``len(unit) + delta``
@@ -209,8 +216,6 @@ def _char_index(entries: tuple[DictEntry, ...]):
     loose = []
     for entry in entries[2:]:
         t = entry.transformation
-        if not isinstance(t, CharTransformation):
-            continue
         delta = 0
         folds: set[str] = set()
         grows = False
@@ -505,8 +510,6 @@ def loads_dictionary(text: str) -> TransformationDictionary:
             transformation = parse_transformation(parts[2])
         except FormatError as exc:
             raise FormatError(f"line {lineno}: {exc}") from None
-        if ident > KEEP_ID and not isinstance(transformation, _GRAIN_RULES[mode.grain]):
-            raise FormatError(f"line {lineno}: {parts[2]!r} is not a {mode.grain} rule")
         entries.append(DictEntry(ident, count, transformation))
     try:
         return TransformationDictionary(mode, casing, min_count, tuple(entries))

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 import unicodedata
@@ -28,6 +31,31 @@ def fig_files(tmp_path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_module(cwd, *argv):
+    """``python -m gecxform`` in a fresh interpreter that imports from ``src``."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, "-m", "gecxform", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_module_entry_point_prints_the_version(tmp_path):
+    done = run_module(tmp_path, "--version")
+    assert done.returncode == 0
+    assert done.stdout.strip() == "gecxform 0.1.0"
+
+
+def test_module_entry_point_exits_2_on_a_missing_corpus(tmp_path):
+    done = run_module(tmp_path, "induce", "missing.tsv", "--mode", "char-at-subword", "--out", "x")
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:")
+    assert not (tmp_path / "x").exists()
 
 
 def test_induce_worked_example(fig_files, tmp_path):

@@ -13,7 +13,6 @@ from gecxform.textnorm import (
     alignment_cuts,
     case_diff,
     fold,
-    is_alignment_punct,
     strip_diacritics,
 )
 
@@ -55,17 +54,17 @@ def test_standalone_marks_are_dropped():
 
 
 def test_alignment_normalize_examples():
-    assert alignment_normalize("Gathe", {}) == "gathe"
-    folded = alignment_normalize("!?", {})
+    assert alignment_normalize("Gathe") == "gathe"
+    folded = alignment_normalize("!?")
     assert len(folded) == 2 and folded[0] == folded[1]
-    assert alignment_normalize("Škoda,", {}) == "skoda" + alignment_normalize(",", {})
+    assert alignment_normalize("Škoda,") == "skoda" + alignment_normalize(",")
 
 
 def test_alignment_normalize_punctuation_classes():
     # currency and math symbols fold like ordinary punctuation
-    assert alignment_normalize("€", {}) == alignment_normalize("!", {})
-    assert alignment_normalize("+", {}) == alignment_normalize(".", {})
-    assert alignment_normalize("\t", {}) == " "
+    assert alignment_normalize("€") == alignment_normalize("!")
+    assert alignment_normalize("+") == alignment_normalize(".")
+    assert alignment_normalize("\t") == " "
 
 
 def test_alignment_normalize_idempotent_and_length_preserving():
@@ -73,21 +72,21 @@ def test_alignment_normalize_idempotent_and_length_preserving():
     plain = "abcKPR con .,!? +€ xyz"
     for _ in range(300):
         text = "".join(rng.choice(plain) for _ in range(rng.randint(0, 15)))
-        once = alignment_normalize(text, {})
-        assert alignment_normalize(once, {}) == once
+        once = alignment_normalize(text)
+        assert alignment_normalize(once) == once
         assert len(once) == len(text)
     # idempotence also holds for combining-sequence inputs
     for _ in range(300):
         text = "".join(rng.choice(MIXED_ALPHABET) for _ in range(rng.randint(0, 15)))
-        once = alignment_normalize(text, {})
-        assert alignment_normalize(once, {}) == once
+        once = alignment_normalize(text)
+        assert alignment_normalize(once) == once
 
 
 def test_normalized_view_provenance_monotone():
     rng = random.Random(14)
     for _ in range(200):
         text = "".join(rng.choice(MIXED_ALPHABET) for _ in range(rng.randint(0, 15)))
-        normalized, cuts = alignment_cuts(text, {})
+        normalized, cuts = alignment_cuts(text)
         assert len(cuts) == len(normalized) + 1
         assert cuts[0] == 0
         assert cuts[-1] == len(text)
@@ -110,6 +109,14 @@ def test_fold_modes():
     assert fold("Kočka", CasingMode.CASED) == "Kočka"
     assert fold("Kočka", CasingMode.UNCASED) == "kocka"
     assert fold("İstanbul", CasingMode.UNCASED) == "istanbul"
+    # one character at a time: a word-final capital sigma folds as it does alone
+    assert fold("ΟΔΟΣ", CasingMode.UNCASED) == "οδοσ"
+
+
+def is_punct_reference(ch):
+    # punctuation (P*), currency symbols (Sc) and math symbols (Sm) fold alike
+    category = unicodedata.category(ch)
+    return category[0] == "P" or category in ("Sc", "Sm")
 
 
 def cuts_reference(text):
@@ -118,7 +125,7 @@ def cuts_reference(text):
     for idx, ch in enumerate(text):
         if ch.isspace():
             folded = " "
-        elif is_alignment_punct(ch):
+        elif is_punct_reference(ch):
             folded = PUNCT_PLACEHOLDER
         else:
             folded = nfd_oracle(ch).lower()
@@ -143,12 +150,31 @@ UNICODE_TEXT = st.text(
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.lists(UNICODE_TEXT, min_size=1, max_size=4))
 def test_memoized_view_matches_per_character_reference(texts):
-    folds = {}  # one memo for all texts, as for a pair's gold and its subwords
-    for text in texts:
-        normalized, cuts = alignment_cuts(text, folds)
+    # the first read of each letter fills the fold table and a later read hits it
+    for ch in set("".join(texts)):
+        textnorm._FOLDED_CHARS.pop(ch, None)
+    for text in texts * 2:
+        normalized, cuts = alignment_cuts(text)
         assert (normalized, cuts) == cuts_reference(text)
-        assert alignment_normalize(text, folds) == normalized
-        assert alignment_normalize(text, {}) == normalized
+        assert alignment_normalize(text) == normalized
+        letters = {ch for ch in text if not ch.isspace() and not is_punct_reference(ch)}
+        assert letters <= textnorm._FOLDED_CHARS.keys()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(UNICODE_TEXT)
+def test_uncased_fold_is_the_join_of_character_folds(text):
+    for ch in set(text):
+        textnorm._FOLDED_CHARS.pop(ch, None)
+    expected = "".join(nfd_oracle(ch).lower() for ch in text)
+    assert fold(text, CasingMode.UNCASED) == expected  # a first read
+    assert fold(text, CasingMode.UNCASED) == expected  # a later read
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(UNICODE_TEXT)
+def test_alignment_normalize_of_the_uncased_fold_is_the_alignment_normalize(text):
+    assert alignment_normalize(fold(text, CasingMode.UNCASED)) == alignment_normalize(text)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -28,6 +28,7 @@ from gecxform.transform import (
     LabeledSentence,
     TransformationDictionary,
     DictEntry,
+    EntryError,
     apply_labels,
     dumps_dictionary,
     encode,
@@ -447,6 +448,20 @@ def test_dictionary_requires_reserved_entries():
         TransformationDictionary(
             CHAR_SUB, U, 1, (DictEntry(0, 0, KEEP), DictEntry(1, 0, UNCORRECTABLE))
         )
+
+
+@pytest.mark.parametrize(
+    "mode, rule",
+    [(CHAR_SUB, StringTransformation("replace", " dog")),
+     (STRING_WORD, parse_transformation("CHAR del@e1"))],
+    ids=["string-rule-in-char-dict", "char-rule-in-string-dict"],
+)
+def test_a_dictionary_refuses_a_rule_of_the_other_grain(mode, rule):
+    entries = (DictEntry(0, 0, UNCORRECTABLE), DictEntry(1, 0, KEEP), DictEntry(2, 1, rule))
+    with pytest.raises(EntryError) as raised:
+        TransformationDictionary(mode, U, 1, entries)
+    assert raised.value.index == 2
+    assert str(raised.value).endswith(f"is not a {mode.grain} rule")
 
 
 def test_labeled_sentence_validation():
