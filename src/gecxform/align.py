@@ -43,11 +43,18 @@ SPAN_BOUND_PER_CHAR = 3
 # The bytes of counts that one group of alignment rows holds (``_lane_plan``).
 GROUP_BYTES = 1 << 16
 
-# The largest pair: a pass of the DP over ``m`` gold characters prices at
-# most ``m * min(bound, m)`` spans a subword, and a pair whose pass would
-# price more raises ``AlignmentError``, so commands skip it (the unbounded
-# retry of five one-letter subwords against 2000 letters, 5 * 2001 ** 2).
+# The largest pair. A pass of the DP over ``m`` gold characters runs each
+# subword ``n = min(bound, m)`` steps and prices it at ``m`` spans a step, plus
+# its lanes' bytes in the stream of counts (``m`` lanes of ``_lane_width``
+# bytes a step) and its cost table (``ls + 1`` floats a step). A pair whose
+# pass would price more raises ``AlignmentError``, so commands skip it: the
+# unbounded retry of five one-letter subwords against 2000 letters, or one
+# 1000-letter subword against 4000 letters.
 MAX_PAIR_CELLS = 16_000_000
+# A lane byte of one step costs about an eighth of a priced span: 6-7 ns
+# against 57 ns (Python 3.11, one core of an Intel Xeon; spans of 60- to
+# 100-word sentences, lanes of subwords of 16 to 1000 characters).
+LANE_BYTES_PER_CELL = 8
 
 _NEG = float("-inf")
 _INF = float("inf")
@@ -159,7 +166,7 @@ def _solve_dp(normed: list[str], g: str) -> tuple[float, list[tuple[int, int]]]:
     the earlier subwords' span bounds, which are all that a cover from offset
     0 can give it. Only if the pass under the span bounds leaves ``g``
     uncovered does a pass with every bound lifted to ``len(g)`` run, over the
-    same state. A pass of more than ``MAX_PAIR_CELLS`` cells, or no cover at
+    same state. A pass that prices above ``MAX_PAIR_CELLS``, or no cover at
     all, raises ``AlignmentError``. Each row is kept as an ``array('d')``;
     the spans are recovered from them afterwards. A subword at offset ``j``
     is skipped when its row holds the same value as the next row there, else
@@ -183,8 +190,11 @@ def _solve_dp(normed: list[str], g: str) -> tuple[float, list[tuple[int, int]]]:
     # lanes at spaces start no span; +inf lets the cut drop them
     lanes = [_INF if ch == " " else _NEG for ch in g] + [_NEG]
     tables: dict[int, list[list[float]]] = {}
+    # per subword, the price of a step: m spans, m lanes' bytes, a table row
+    lens = [len(s.strip()) for s in normed]
+    prices = [m * (1 + _lane_width(ls) / LANE_BYTES_PER_CELL) + ls + 1 for ls in lens]
     for limits in ([span_length_bound(len(s)) for s in normed], [m] * len(normed)):
-        if m * sum(min(limit, m) for limit in limits) > MAX_PAIR_CELLS:
+        if sum(min(limit, m) * price for limit, price in zip(limits, prices)) > MAX_PAIR_CELLS:
             raise AlignmentError(f"pair too large: {len(normed)} subwords, {m} gold characters")
         rows = [array("d", [0.0 if nonspace[j] == m else _NEG for j in range(m + 1)])]
         for s, limit, lo, hi, counts, at in _lane_plan(normed, g, limits, nonspace, longest):
@@ -419,6 +429,8 @@ def _row(
     spaces after it, and ``-inf`` at an end after a space. The fold must not
     reach past the cap ``j + limit``, so a step ``l`` steps before the cap
     uses ``folds[l]`` (``folds[longest]``, all of every run, before that).
+    No step is more than ``limit - 1`` steps before its cap, so the folds
+    stop there, however long a run.
     A start ``d`` spaces before its lane has a cap ``d`` steps earlier: once
     that cap is within ``longest`` steps, it forks its own copy of the
     lane's running best (a track), which goes on with its own folds.
@@ -462,7 +474,8 @@ def _row(
     for q, n in runs:
         fold[q + 1 : q + n + 1] = [_NEG] * n
     folds = [fold]
-    for l in range(1, longest + 1):
+    depth = min(longest, limit - 1)  # no step reads a fold past the cap
+    for l in range(1, depth + 1):
         fold = fold[:]
         for q, n in runs:
             if n >= l and w_next[q + l] > fold[q]:
@@ -501,15 +514,15 @@ def _row(
             hi = min(hi, m - k)
         else:
             if k >= forks:
-                for d in range(1, longest + 1):
+                for d in range(1, min(longest, limit - 1 - k) + 1):
                     l = limit - 1 - d - k  # spaces left before the cap of a start d before its lane
-                    if 0 <= l < longest:
+                    if l < longest:
                         track = tracks.get(d)
                         if track is None:
                             track = tracks[d] = best[:]
                         tails = folds[l][lo + t : hi + t]
                         track[lo:hi] = _advance(track[lo:hi], table, dists, tails)
-            tails = folds[min(limit - 1 - k, longest)][lo + t : hi + t]
+            tails = folds[min(limit - 1 - k, depth)][lo + t : hi + t]
             best[lo:hi] = _advance(best[lo:hi], table, dists, tails)
         if t + 1 > ls and not tracks:
             # drop finished lanes from both ends of the window

@@ -320,30 +320,19 @@ def apply_transformation(t: Transformation, unit: str) -> str | None:
 _EDIT_RE = re.compile(r"^(ins|rep|del|upc|dia)@([se])([0-9]+)(?:=(.*))?$")
 
 
+# one table for both directions; decoding reads left to right, without overlaps
+_ESCAPES = {"%": "%25", " ": "%20", ";": "%3B", "\n": "%0A"}
+_ESCAPE_TABLE = str.maketrans(_ESCAPES)
+_UNESCAPES = {code: ch for ch, code in _ESCAPES.items()}
+_UNESCAPE_RE = re.compile("|".join(_UNESCAPES))
+
+
 def _encode_payload(s: str) -> str:
-    return (
-        s.replace("%", "%25")
-        .replace(" ", "%20")
-        .replace(";", "%3B")
-        .replace("\n", "%0A")
-    )
-
-
-_DECODES = {"%25": "%", "%20": " ", "%3B": ";", "%0A": "\n"}
+    return s.translate(_ESCAPE_TABLE)
 
 
 def _decode_payload(s: str) -> str:
-    out = []
-    i = 0
-    while i < len(s):
-        token = s[i : i + 3]
-        if token in _DECODES:
-            out.append(_DECODES[token])
-            i += 3
-        else:
-            out.append(s[i])
-            i += 1
-    return "".join(out)
+    return _UNESCAPE_RE.sub(lambda m: _UNESCAPES[m[0]], s)
 
 
 def _serialize_edit(edit: CharEdit) -> str:

@@ -32,9 +32,26 @@ class CasingMode(Enum):
         raise ValueError(f"unknown casing mode: {name!r}")
 
 
-# strip_diacritics of each single non-ASCII character read so far; a pure
-# function of one code point, so it holds at most one entry per character
-_STRIPPED_CHARS: dict[str, str] = {}
+class _CharTable(dict):
+    """A pure function of one character, computed on the character's first read and then kept."""
+
+    def __init__(self, function) -> None:
+        super().__init__()
+        self.function = function
+
+    def __missing__(self, ch: str) -> str:
+        value = self[ch] = self.function(ch)
+        return value
+
+
+def _strip(text: str) -> str:
+    decomposed = unicodedata.normalize("NFD", text)
+    kept = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+    return unicodedata.normalize("NFC", kept)
+
+
+# strip_diacritics of each single non-ASCII character read so far
+_STRIPPED_CHARS = _CharTable(_strip)
 
 
 def strip_diacritics(text: str) -> str:
@@ -48,30 +65,11 @@ def strip_diacritics(text: str) -> str:
     """
     if text.isascii():
         return text
-    single = len(text) == 1
-    if single:
-        stripped = _STRIPPED_CHARS.get(text)
-        if stripped is not None:
-            return stripped
-    decomposed = unicodedata.normalize("NFD", text)
-    kept = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
-    stripped = unicodedata.normalize("NFC", kept)
-    if single:
-        _STRIPPED_CHARS[text] = stripped
-    return stripped
+    return _STRIPPED_CHARS[text] if len(text) == 1 else _strip(text)
 
 
-class _FoldTable(dict):
-    """A character's uncased fold, computed on its first read and then kept."""
-
-    def __missing__(self, ch: str) -> str:
-        folded = self[ch] = strip_diacritics(ch).lower()
-        return folded
-
-
-# fold(ch, UNCASED) of each single character read so far; a pure function of
-# one code point, so it holds at most one entry per character
-_FOLDED_CHARS = _FoldTable()
+# fold(ch, UNCASED) of each single character read so far
+_FOLDED_CHARS = _CharTable(lambda ch: strip_diacritics(ch).lower())
 
 
 def alignment_cuts(text: str) -> tuple[str, list[int]]:

@@ -633,17 +633,20 @@ def test_reach_binds_on_a_short_lead():
 def space_run_instances(draw):
     """Short subwords (small span bounds) against words split by runs of 2 to 5
     spaces, so that the first step at which a track forks falls among the
-    steps taken two at a time."""
+    steps taken two at a time, or by runs longer than a span bound, past
+    which no fold reaches."""
     pieces = st.sampled_from([" a", "b", " ab", ".", "  a", " ba", "á"])
     subwords = draw(st.lists(pieces, min_size=1, max_size=5))
     words = draw(st.lists(st.text("abx.", min_size=1, max_size=4), min_size=1, max_size=6))
-    seps = draw(st.lists(st.sampled_from([" ", "  ", "   ", "     "]), min_size=len(words)))
+    # a run of 20 spaces is longer than the span bound of every piece
+    seps = draw(st.lists(st.sampled_from([" ", "  ", "   ", "     ", " " * 20]), min_size=len(words)))
     gold = "".join(sep + w for sep, w in zip(seps, words))[1:]
     return subwords, gold
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(space_run_instances())
+@example(([" a", " ab"], "ab" + " " * 20 + "xa"))
 def test_align_matches_reference_kernel_across_space_runs_under_small_bounds(instance):
     assert_same_as_reference(*instance)
 
@@ -826,3 +829,41 @@ def test_a_pair_past_the_cell_cap_is_refused():
     with pytest.raises(AlignmentError, match="pair too large"):
         align([" a"] * 5, "x" * 2000)
     assert align([" a"] * 5, "x" * 300).spans[-1][1] == 301
+
+
+def _letters(n, seed):
+    rng = random.Random(seed)
+    return "".join(rng.choice("abcdefghijklmnopqrstuvwxyz") for _ in range(n))
+
+
+@pytest.mark.parametrize("length", [1000, 2000])
+def test_a_long_subword_is_refused_before_its_lanes_run(monkeypatch, length):
+    # one long token against about 4000 gold characters prices under the cap
+    # by its spans alone, but each of its lanes takes 128 or 256 bytes a step
+    # and its cost table holds millions of floats
+    def refuse(*args):
+        raise AssertionError("the pair ran")
+
+    monkeypatch.setattr(align_module, "_lane_counts", refuse)
+    monkeypatch.setattr(align_module, "_row", refuse)
+    gold = " ".join(gold_corpus(1, 4, min_words=700, max_words=700)[0].split())[:3990]
+    subwords = [" " + _letters(length, 6)]
+    m = 1 + len(gold)
+    assert m * min(span_length_bound(length), m) < MAX_PAIR_CELLS
+    with pytest.raises(AlignmentError, match="pair too large"):
+        align(subwords, gold)
+
+
+@pytest.mark.parametrize("length", [200, 400])
+def test_a_sentence_with_one_long_token_aligns(length):
+    # a 100-word sentence with one 200- or 400-character token, a letter of it
+    # changed: its lanes are priced but stay under the cap
+    words = gold_corpus(1, 3, min_words=100, max_words=100)[0].split()
+    token = _letters(length, 5)
+    words[50] = token
+    gold = " ".join(words)
+    words[50] = token[:7] + "x" + token[8:]
+    subwords = tokenize(" ".join(words), TokenizerMode.word(), CasingMode.UNCASED)
+    alignment = align(subwords, gold)
+    assert alignment.span_texts[50] == " " + token
+    assert alignment.span_texts == [" " + w for w in gold.split()]

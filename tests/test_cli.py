@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpusgen import gold_corpus
 from gecxform.cli import _parse_labels, _unaligned_record, main
 from gecxform.corpus import SentencePair, load_corpus, load_text, serialize_tsv
 from gecxform.tokenizer import TokenizerMode
@@ -449,6 +451,20 @@ def test_encode_writes_the_records_that_encode_returns(pairs, mode, casing, toke
         except ValueError:
             expected.append(_unaligned_record(pair.source, dictionary, tokenizer))
     assert records == expected
+
+
+def test_a_pair_with_a_long_token_is_skipped(tmp_path):
+    # one 1000-letter token against about 4000 gold characters: its lanes and
+    # cost table are priced, so the pair is refused before they are built
+    rng = random.Random(6)
+    token = "".join(rng.choice("abcdefghijklmnopqrstuvwxyz") for _ in range(1000))
+    gold = " ".join(gold_corpus(1, 4, min_words=700, max_words=700)[0].split())[:3990]
+    (tmp_path / "c.tsv").write_text(f"{token}\t{gold}\na b\ta bb\n", encoding="utf-8")
+    done = run_module(tmp_path, "induce", "c.tsv", "--mode", "char-at-word", "--out", "c.dict")
+    assert done.returncode == 0, done.stderr
+    skips = [line for line in done.stderr.splitlines() if "skipping pair" in line]
+    assert len(skips) == 1 and "pair too large" in skips[0]
+    assert done.stdout == "induced 3 transformations -> c.dict\n"
 
 
 def test_a_hostile_pair_is_skipped_in_bounded_time(tmp_path, capsys, caplog):

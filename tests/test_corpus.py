@@ -255,7 +255,7 @@ def test_load_corpus_reads_every_newline_as_open_does(tmp_path):
 def test_input_files_are_read_in_one_function():
     # every reader goes through corpus.load_text, so that each decodes,
     # NFC-normalizes and locates its errors alike; the manifest digests raw bytes
-    # and strip_diacritics recomposes text
+    # and textnorm._strip (behind strip_diacritics) recomposes text
     reads = ("read_text(", "read_bytes(", "open(", 'normalize("NFC"')
     found = set()
     for path in sorted(Path(gecxform.__file__).parent.glob("*.py")):
@@ -266,7 +266,7 @@ def test_input_files_are_read_in_one_function():
                 owner = next((d.name for d in defs if d.lineno <= lineno <= d.end_lineno), None)
                 found.add((path.name, owner))
     assert found == {
-        ("corpus.py", "load_text"), ("cli.py", "_write_output"), ("textnorm.py", "strip_diacritics")
+        ("corpus.py", "load_text"), ("cli.py", "_write_output"), ("textnorm.py", "_strip")
     }
 
 

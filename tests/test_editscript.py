@@ -242,12 +242,14 @@ def test_serialize_golden_forms():
 
 
 def test_serialize_percent_encoding():
-    payload = "a %;x\n"
+    payload = "a %;x\n%25%3B"
     t = StringTransformation("replace", payload)
     line = serialize_transformation(t)
-    assert "\n" not in line
-    assert " " not in line[len("REPLACE "):]
+    assert line == "REPLACE a%20%25%3Bx%0A%2525%253B"
     assert parse_transformation(line) == t
+    # escapes decode left to right without overlaps; anything else is literal
+    assert parse_transformation("REPLACE %2520%3b%").payload == "%20%3b%"
+    assert parse_transformation("CHAR ins@s1=%253B").base_edits[0].payload == "%3B"
 
 
 def test_parse_round_trip_random_transformations():
