@@ -16,7 +16,10 @@ once (``_lane_counts``). The distances do not depend on the later rows, so
 the rows of one lane width share one set of ints in groups, each one stream
 that its rows read as they run, over windows of lanes fixed before the
 dynamic program (``_lane_plan``); a cost table per subword length and step
-turns the lanes' distances into weights. One pass over the lanes takes two
+turns the lanes' distances into weights. A command passes one
+:class:`CostTables` to all its pairs, so the rows of subwords under 32
+characters are computed once per command and dropped with it; longer rows
+are built per pair. One pass over the lanes takes two
 gold characters wherever no span bound is near (``_row``). Spans that end in
 spaces are folded into the span before the spaces, and a lane stops once its
 weight, at most ``0.5 * ls / glen`` (trimmed lengths ``ls`` of the subword
@@ -56,6 +59,11 @@ MAX_PAIR_CELLS = 16_000_000
 # 100-word sentences, lanes of subwords of 16 to 1000 characters).
 LANE_BYTES_PER_CELL = 8
 
+# A command's CostTables keeps the cost rows of stripped subword lengths below
+# this: the lengths of the 1-, 2- and 4-byte lanes, which hold every word of
+# ordinary text. Longer subwords build their rows per pair.
+STORED_LENGTHS = 32
+
 _NEG = float("-inf")
 _INF = float("inf")
 
@@ -66,6 +74,43 @@ class AlignmentError(ValueError):
 
 def span_length_bound(subword_len: int) -> int:
     return SPAN_BOUND_BASE + SPAN_BOUND_PER_CHAR * subword_len
+
+
+def _stored_steps(ls: int) -> int:
+    """The steps that a command keeps for stripped length ``ls``: its span bound with a space."""
+    return span_length_bound(ls + 1)
+
+
+def _extended(costs: list[list[float]], ls: int, nsteps: int) -> list[list[float]]:
+    """``costs`` with the cost rows of stripped length ``ls`` up to step ``nsteps`` appended.
+
+    Row ``t`` holds, at ``c``, the weight of a span of trimmed length ``t``
+    at edit distance ``d = c + |t - ls|``: 0.75 when ``d`` is 0, else ``0.5 *
+    (1 - d / max(t, ls))``. The result is a new list; ``costs`` is unchanged.
+    """
+    rows = []
+    for t in range(len(costs), nsteps + 1):
+        top = t if t > ls else ls
+        gap = 2 * top - t - ls  # |t - ls|
+        rows.append([0.5 * (1.0 - d / top) if d else 0.75 for d in range(gap, gap + ls + 1)])
+    return costs + rows
+
+
+class CostTables(dict):
+    """The cost rows of one command, per stripped length ``ls < STORED_LENGTHS``.
+
+    A length's rows, steps 0 to ``_stored_steps(ls)``, are computed on its
+    first read and then shared by every pair of the command. A pair that
+    needs more steps (the unbounded retry, a subword with more spaces)
+    extends them in a copy of its own (``_solve_dp``). So the tables hold at
+    most 38,544 floats, the sum of ``_stored_steps(ls) * (ls + 1)`` over the
+    stored lengths, whatever the corpus. A command creates one and drops it
+    when it returns; no module keeps one.
+    """
+
+    def __missing__(self, ls: int) -> list[list[float]]:
+        costs = self[ls] = _extended([[]], ls, _stored_steps(ls))
+        return costs
 
 
 def _peq(pattern: str) -> dict[str, int]:
@@ -141,7 +186,9 @@ def _prepare(subwords: Sequence[str], gold: str):
     return lead_gold, g, cuts, normed
 
 
-def align(subwords: Sequence[str], gold: str) -> Alignment:
+def align(
+    subwords: Sequence[str], gold: str, cost_tables: CostTables | None = None
+) -> Alignment:
     """Maximum-weight alignment of ``subwords`` to spans of ``gold``.
 
     Dynamic program over (subword index, gold offset): a subword is either
@@ -150,14 +197,19 @@ def align(subwords: Sequence[str], gold: str) -> Alignment:
     consumed except for trailing whitespace. Ties prefer skipping, then the
     shorter span for the earlier subword. If the length bound makes full
     consumption impossible the bound is lifted for that sentence.
+    ``cost_tables`` shares the cost rows between the pairs of one command;
+    without it the pair gets a fresh :class:`CostTables` of its own.
     """
+    cost_tables = CostTables() if cost_tables is None else cost_tables
     lead_gold, g, cuts, normed = _prepare(subwords, gold)
-    weight, norm_spans = _solve_dp(normed, g)
+    weight, norm_spans = _solve_dp(normed, g, cost_tables)
     spans = tuple((cuts[a], cuts[b]) for a, b in norm_spans)
     return Alignment(lead_gold, spans, weight)
 
 
-def _solve_dp(normed: list[str], g: str) -> tuple[float, list[tuple[int, int]]]:
+def _solve_dp(
+    normed: list[str], g: str, cost_tables: CostTables
+) -> tuple[float, list[tuple[int, int]]]:
     """Best weight and spans over the normalized gold ``g``.
 
     Rows run from the last subword back; ``w_next[e]`` is the best weight of
@@ -177,6 +229,12 @@ def _solve_dp(normed: list[str], g: str) -> tuple[float, list[tuple[int, int]]]:
     ``_row`` defines the weight: an end after a space keeps the weight of
     the last end before it, and the end ``j + len(s)`` weighs 1.0 where
     ``g`` holds ``s`` at ``j``.
+
+    The cost rows of the pair, per stripped length, start as those of
+    ``cost_tables`` for the lengths it keeps, and empty for longer ones; a row
+    that needs more steps extends them in a copy that the pair alone holds,
+    and the read-back reads the same lists. ``MAX_PAIR_CELLS`` prices every
+    step's row, shared or not.
     """
     m = len(g)
     # nonspace[j]: the first offset at or after j that is not a space
@@ -189,9 +247,10 @@ def _solve_dp(normed: list[str], g: str) -> tuple[float, list[tuple[int, int]]]:
     longest = max((n for _, n in runs), default=0)
     # lanes at spaces start no span; +inf lets the cut drop them
     lanes = [_INF if ch == " " else _NEG for ch in g] + [_NEG]
-    tables: dict[int, list[list[float]]] = {}
     # per subword, the price of a step: m spans, m lanes' bytes, a table row
     lens = [len(s.strip()) for s in normed]
+    # per stripped length, the rows the pair reads
+    tables = {ls: cost_tables[ls] if ls < STORED_LENGTHS else [[]] for ls in set(lens)}
     prices = [m * (1 + _lane_width(ls) / LANE_BYTES_PER_CELL) + ls + 1 for ls in lens]
     for limits in ([span_length_bound(len(s)) for s in normed], [m] * len(normed)):
         if sum(min(limit, m) * price for limit, price in zip(limits, prices)) > MAX_PAIR_CELLS:
@@ -399,10 +458,11 @@ def _row(
 
     A start ``j`` may skip ``s`` (``w_next[j]``) or give it a span ``g[j:e]``
     with ``nonspace[j] < e <= j + limit``. Such a span weighs 1.0 for an
-    exact match (found with ``g.find``), else ``tables[ls][t][d - |t - ls|]``:
-    0.75 when ``d`` is 0, else ``0.5 * (1 - d / max(t, ls))``, where ``t`` is
-    the length of ``g[p:e']`` (``p = nonspace[j]`` and ``e'`` is ``e`` less
-    its trailing spaces) and ``d`` its edit distance to the stripped subword.
+    exact match (found with ``g.find``), else ``tables[ls][t][d - |t - ls|]``
+    (``_extended``): 0.75 when ``d`` is 0, else ``0.5 * (1 - d / max(t, ls))``,
+    where ``t`` is the length of ``g[p:e']`` (``p = nonspace[j]`` and ``e'``
+    is ``e`` less its trailing spaces) and ``d`` its edit distance to the
+    stripped subword.
     Surrounding spaces carry no evidence; counting them would let a shifted
     word boundary outweigh an in-word match.
 
@@ -486,11 +546,9 @@ def _row(
     tracks: dict[int, list[float]] = {}
     half_ls = 0.5 * ls
     # costs[t][c]: the cost of step t for a lane that counts c
-    costs = tables.setdefault(ls, [[]])
-    for t in range(len(costs), nsteps + 1):
-        top = t if t > ls else ls
-        gap = 2 * top - t - ls  # |t - ls|
-        costs.append([0.5 * (1.0 - d / top) if d else 0.75 for d in range(gap, gap + ls + 1)])
+    costs = tables[ls]
+    if len(costs) <= nsteps:  # more steps than it holds: a longer copy for this pair
+        costs = tables[ls] = _extended(costs, ls, nsteps)
     k = 0
     while k < nsteps:
         hi = min(hi, m - k)  # lanes whose end p + k + 1 is still in g

@@ -19,6 +19,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
+from .align import CostTables
 from .corpus import (
     CorruptionConfig,
     corrupt_corpus,
@@ -173,9 +174,10 @@ def cmd_encode(args: argparse.Namespace) -> int:
     pairs = _load_pairs(args.corpus, args.annotator)
     lines = []
     uncorrectable = skipped = 0
+    cost_tables = CostTables()
     for pair in pairs:
         try:
-            labeled = encode(pair.source, pair.gold, dictionary, tokenizer)
+            labeled = encode(pair.source, pair.gold, dictionary, tokenizer, cost_tables)
         except ValueError as exc:
             log.warning("skipping pair: %s (source=%r)", exc, pair.source)
             labeled = _unaligned_record(pair.source, dictionary, tokenizer)

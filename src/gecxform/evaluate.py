@@ -11,15 +11,16 @@ the text it is given against the gold as :func:`gecxform.transform.encode`
 does (tokenize, align, label each unit) and decodes the labels as ``apply``
 does, through :func:`gecxform.transform.apply_labels`. An :class:`OracleMemo`
 holds the work that does not depend on the dictionary: alignments keyed by
-the DP's input ``(tuple(subwords), gold)``, transformations keyed by ``(unit,
-span, grain, casing)`` and extracted edits keyed by ``(source, text)``. One
-memo lives for one :func:`analyze` call, so its sweep over many dictionaries
-aligns each subword sequence, builds each rule and extracts each edit set
-once. Labels belong to the dictionary, which memoizes them. Iteration counts
-share one correction run: :func:`oracle_upper_bound` takes every count at
-once and runs each pair to the deepest one, keeping the text of every round,
-so a dictionary tokenizes, labels and decodes each round once however many
-counts the sweep asks for.
+the DP's input ``(tuple(subwords), gold)`` and the cost rows they read,
+transformations keyed by ``(unit, span, grain, casing)`` and extracted edits
+keyed by ``(source, text)``. One memo lives for one :func:`analyze` call, so
+its sweep over many dictionaries aligns each subword sequence, builds each
+rule and extracts each edit set once. Labels belong to the dictionary,
+which memoizes them. Iteration counts share one correction run:
+:func:`oracle_upper_bound` takes every count at once and runs each pair to
+the deepest one, keeping the text of every round, so a dictionary
+tokenizes, labels and decodes each round once however many counts the sweep
+asks for.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
+from .align import CostTables
 from .corpus import SentencePair
 from .editscript import INSERT, REPLACE, minimal_edit_script
 from .textnorm import CasingMode
@@ -176,13 +178,15 @@ class OracleAnalysisRow:
 class OracleMemo:
     """The dictionary-independent work of oracle runs, shared between them.
 
-    ``alignments`` (see :func:`gecxform.transform.unit_pairs`), ``builds``
-    (see :func:`gecxform.transform.build_unit_transformation`) and ``edits``
-    (see :func:`score`) grow as the runs need them. Labels depend on the
-    dictionary and are memoized by it, not here.
+    ``alignments`` (see :func:`gecxform.transform.unit_pairs`) and the
+    ``cost_tables`` they read (see :class:`gecxform.align.CostTables`),
+    ``builds`` (see :func:`gecxform.transform.build_unit_transformation`) and
+    ``edits`` (see :func:`score`) grow as the runs need them. Labels depend
+    on the dictionary and are memoized by it, not here.
     """
 
     alignments: AlignmentMemo = field(default_factory=dict)
+    cost_tables: CostTables = field(default_factory=CostTables, repr=False)
     builds: BuildMemo = field(default_factory=dict)
     edits: EditMemo = field(default_factory=dict)
 
@@ -212,7 +216,7 @@ def _upper_bound_outputs(
             try:
                 units, spans = unit_pairs(
                     current, pair.gold, dictionary.mode, dictionary.casing, tokenizer,
-                    memo.alignments,
+                    memo.alignments, memo.cost_tables,
                 )
             except ValueError:
                 break  # pair cannot be aligned; leave it as it stands
@@ -294,7 +298,7 @@ def analyze(
     word_is_subword = tokenizer.kind == "word"
     modes = [m for m in ALL_MODES if not (word_is_subword and m.unit == "word")]
     memo = OracleMemo()
-    unit_data = corpus_unit_data(pairs, casing, tokenizer, memo.alignments)
+    unit_data = corpus_unit_data(pairs, casing, tokenizer, memo.alignments, memo.cost_tables)
     counters = counts_from_unit_data(unit_data, modes, casing, memo.builds)
     rows = []
     for mode in ALL_MODES:

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .align import align
+from .align import CostTables, align
 from .corpus import load_text, split_lines
 from .editscript import (
     DELETE,
@@ -268,7 +268,8 @@ def _units_by_kind(
     gold: str,
     casing: CasingMode,
     tokenizer: TokenizerMode,
-    alignments: AlignmentMemo | None = None,
+    alignments: AlignmentMemo | None,
+    cost_tables: CostTables | None,
 ) -> dict[str, tuple[list[str], list[str]]]:
     """Tokenize and align once; the (units, spans) lists of each unit kind."""
     subwords = tokenize(source, tokenizer, casing)
@@ -277,7 +278,7 @@ def _units_by_kind(
     key = (tuple(subwords), gold)
     if key not in alignments:
         try:
-            alignments[key] = align(subwords, gold).span_texts
+            alignments[key] = align(subwords, gold, cost_tables).span_texts
         except ValueError:
             alignments[key] = None
             raise
@@ -296,13 +297,16 @@ def unit_pairs(
     casing: CasingMode,
     tokenizer: TokenizerMode,
     alignments: AlignmentMemo | None = None,
+    cost_tables: CostTables | None = None,
 ) -> tuple[list[str], list[str]]:
     """Tokenize, align, and cut one gold span per unit of the requested mode.
 
     ``alignments`` memoizes the alignment by its input: a source that
     tokenizes to subwords already aligned to ``gold`` reuses their spans.
+    ``cost_tables`` holds the alignment's cost rows for the whole command
+    (see :class:`gecxform.align.CostTables`).
     """
-    return _units_by_kind(source, gold, casing, tokenizer, alignments)[mode.unit]
+    return _units_by_kind(source, gold, casing, tokenizer, alignments, cost_tables)[mode.unit]
 
 
 def build_unit_transformation(
@@ -335,18 +339,24 @@ def _build_unit(unit: str, span: str, grain: str, casing: CasingMode) -> Transfo
 
 
 def corpus_unit_data(
-    pairs, casing: CasingMode, tokenizer: TokenizerMode, alignments: AlignmentMemo
+    pairs,
+    casing: CasingMode,
+    tokenizer: TokenizerMode,
+    alignments: AlignmentMemo,
+    cost_tables: CostTables,
 ):
     """Tokenize and align each pair once, filling the ``alignments`` memo.
 
     Yields, pair by pair, a map from each unit kind to its (units, spans)
     lists. A pair that cannot be processed is skipped with a diagnostic; one
     that tokenizes but cannot be aligned is memoized as None, so later
-    lookups skip the DP.
+    lookups skip the DP. Every alignment reads ``cost_tables``.
     """
     for pair in pairs:
         try:
-            per_pair = _units_by_kind(pair.source, pair.gold, casing, tokenizer, alignments)
+            per_pair = _units_by_kind(
+                pair.source, pair.gold, casing, tokenizer, alignments, cost_tables
+            )
         except ValueError as exc:
             log.warning("skipping pair: %s (source=%r)", exc, pair.source)
             continue
@@ -412,6 +422,7 @@ def induce(
 
     Pairs that fail to tokenize or align are skipped with a diagnostic.
     Units whose transformation is unreachable count toward uncorrectable.
+    Every alignment of the call reads one :class:`gecxform.align.CostTables`.
     """
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
@@ -420,7 +431,7 @@ def induce(
     work = list(pairs) + list(synthetic_pairs)[:synthetic_limit]
     if not work:
         raise ValueError("induction requires at least one pair")
-    data = corpus_unit_data(work, casing, tokenizer, {})
+    data = corpus_unit_data(work, casing, tokenizer, {}, CostTables())
     counts = counts_from_unit_data(data, (mode,), casing)[mode]
     return dictionary_from_counts(counts, mode, casing, min_count)
 
@@ -430,12 +441,16 @@ def encode(
     gold: str,
     dictionary: TransformationDictionary,
     tokenizer: TokenizerMode = TokenizerMode.word(),
+    cost_tables: CostTables | None = None,
 ) -> LabeledSentence:
     """Label every unit of ``source`` with the dictionary entry encoding its correction.
 
-    See :meth:`TransformationDictionary.label` for the choice of entry.
+    See :meth:`TransformationDictionary.label` for the choice of entry. A
+    command that encodes many pairs passes them all one ``cost_tables``.
     """
-    units, spans = unit_pairs(source, gold, dictionary.mode, dictionary.casing, tokenizer)
+    units, spans = unit_pairs(
+        source, gold, dictionary.mode, dictionary.casing, tokenizer, None, cost_tables
+    )
     labels = tuple(dictionary.label(u, s) for u, s in zip(units, spans))
     return LabeledSentence(tuple(units), labels)
 

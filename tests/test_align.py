@@ -1,5 +1,8 @@
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -12,10 +15,13 @@ from gecxform.align import (
     _NEG,
     GROUP_BYTES,
     MAX_PAIR_CELLS,
+    STORED_LENGTHS,
     Alignment,
     AlignmentError,
+    CostTables,
     _peq,
     _prepare,
+    _stored_steps,
     align,
     edit_distances,
     span_length_bound,
@@ -515,6 +521,67 @@ def test_align_matches_reference_kernel_after_unbounded_retry(instance):
     assert len(recorder.passes) == 2
 
 
+def test_stored_cost_rows_are_the_span_weights_bit_for_bit():
+    tables = CostTables()
+    for ls in range(STORED_LENGTHS):
+        rows = tables[ls]
+        assert len(rows) == _stored_steps(ls) + 1 and rows[0] == []
+        for t, row in enumerate(rows[1:], 1):
+            gap = abs(t - ls)
+            expected = [
+                0.75 if d == 0 else 0.5 * (1.0 - d / max(t, ls)) for d in range(gap, gap + ls + 1)
+            ]
+            assert [x.hex() for x in row] == [x.hex() for x in expected]
+    assert sorted(tables) == list(range(STORED_LENGTHS))
+
+
+def _outcome(subwords, gold, cost_tables):
+    try:
+        alignment = align(subwords, gold, cost_tables)
+    except AlignmentError as exc:
+        return str(exc)
+    return alignment.spans, alignment.total_weight.hex()
+
+
+@st.composite
+def shared_table_sequences(draw):
+    """A pair that takes the unbounded retry, then pairs of words of 1 to 40 letters.
+
+    The word lengths cross the lanes of one, two, four and eight bytes and
+    the stored lengths (31 is the last one kept, 32 and 33 are past it); the
+    retry's short subwords extend rows that the later pairs read.
+    """
+    sizes = st.sampled_from([1, 2, 3, 7, 8, 15, 16, 30, 31, 32, 33, 40])
+    pairs = [draw(retry_instances())]
+    for _ in range(draw(st.integers(2, 5))):
+        words = [
+            draw(st.text("abcdeklmnorstuáčř", min_size=n, max_size=n))
+            for n in draw(st.lists(sizes, min_size=2, max_size=6))
+        ]
+        subwords = []
+        for word in words:
+            if draw(st.booleans()):
+                k = draw(st.integers(0, len(word) - 1))
+                word = word[:k] + draw(st.sampled_from("xyz")) + word[k + 1 :]
+            subwords += _pieces(draw, word) if draw(st.integers(0, 3)) == 0 else [" " + word]
+        pairs.append((subwords, " ".join(words)))
+    return pairs
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(shared_table_sequences())
+def test_one_command_table_aligns_as_a_fresh_one(pairs):
+    subwords, gold = pairs[0]
+    _, g, _, normed = _prepare(subwords, gold)
+    assert reference_solve_dp(normed, g, bounded=True) is None  # the first pair retries
+    shared = CostTables()
+    for subwords, gold in pairs:
+        assert _outcome(subwords, gold, shared) == _outcome(subwords, gold, CostTables())
+    # no pair extended the command's rows: the retry's longer rows were its own
+    assert max(shared) < STORED_LENGTHS
+    assert all(rows == CostTables()[ls] for ls, rows in shared.items())
+
+
 @pytest.mark.parametrize("casing", [CasingMode.CASED, CasingMode.UNCASED])
 @pytest.mark.parametrize(
     "tokenizer",
@@ -867,3 +934,17 @@ def test_a_sentence_with_one_long_token_aligns(length):
     alignment = align(subwords, gold)
     assert alignment.span_texts[50] == " " + token
     assert alignment.span_texts == [" " + w for w in gold.split()]
+
+
+def test_align_ab_script_compares_a_tree_with_itself():
+    tests = Path(__file__).resolve().parent
+    src = tests.parent / "src"
+    done = subprocess.run(
+        [sys.executable, str(tests / "align_ab.py"), str(src), str(src),
+         "--pairs", "2", "--rounds", "2", "--min-words", "3", "--max-words", "5"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "2 pairs, 2 rounds, seed 1"
+    assert lines[-1].startswith("speedup (A/B): ") and lines[-1].endswith("x")

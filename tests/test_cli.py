@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -6,13 +7,18 @@ import sys
 import tempfile
 import time
 import unicodedata
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpusgen import gold_corpus
+import gecxform.align as align_module
+import gecxform.evaluate as evaluate_module
+import gecxform.transform as transform_module
+from corpusgen import corrupted_corpus, gold_corpus, uncased_noise_config
+from gecxform.align import STORED_LENGTHS, CostTables, _stored_steps
 from gecxform.cli import _parse_labels, _unaligned_record, main
 from gecxform.corpus import SentencePair, load_corpus, load_text, serialize_tsv
 from gecxform.tokenizer import TokenizerMode
@@ -484,6 +490,74 @@ def test_a_hostile_pair_is_skipped_in_bounded_time(tmp_path, capsys, caplog):
     assert [json.loads(line)["labels"] for line in labels.read_text().splitlines()] == [
         [1, 2], [0] * 5
     ]
+
+
+def spy_cost_tables(monkeypatch, keep):
+    """Patch ``transform.align`` to append ``keep(cost_tables)`` of each call to a list."""
+    seen = []
+    original = transform_module.align
+
+    def spying(subwords, gold, cost_tables=None):
+        seen.append(keep(cost_tables))
+        return original(subwords, gold, cost_tables)
+
+    monkeypatch.setattr(transform_module, "align", spying)
+    return seen
+
+
+def holds_cost_rows(value):
+    """Whether ``value`` is a cost table, or a dict of lists of rows like one."""
+    if isinstance(value, CostTables):
+        return True
+    return isinstance(value, dict) and any(
+        isinstance(v, list) and any(isinstance(row, list) for row in v) for v in value.values()
+    )
+
+
+def test_cost_tables_live_for_one_command(tmp_path, monkeypatch):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text(serialize_tsv(corrupted_corpus(6, 3, uncased_noise_config(3))))
+    dict_path, labels, rows = tmp_path / "c.dict", tmp_path / "c.labels", tmp_path / "rows.tsv"
+    commands = [
+        ["induce", corpus, "--mode", "char-at-subword", "--out", dict_path],
+        ["encode", corpus, "--dict", dict_path, "--out", labels],
+        ["analyze", corpus, "--min-counts", "1", "--iterations", "2", "--out", rows],
+    ]
+    seen = spy_cost_tables(monkeypatch, lambda t: t is not None and (id(t), weakref.ref(t)))
+    refs = []
+    for argv in commands * 2:
+        del seen[:]
+        assert run(*argv) == 0
+        # every alignment of the command read one set of tables, its own
+        assert seen and all(seen) and len({ident for ident, _ in seen}) == 1
+        refs.append(seen[0][1])
+    del seen[:]
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    for module in (align_module, transform_module, evaluate_module):
+        for name, value in vars(module).items():
+            assert not holds_cost_rows(value), f"{module.__name__}.{name}"
+
+
+def test_cost_tables_stay_bounded_on_tokens_of_new_lengths(tmp_path, monkeypatch):
+    # every pair carries one token of a length that no earlier pair had, and
+    # the first one covers its gold only in the unbounded retry
+    rng = random.Random(5)
+    lines = ["a b\t" + "x" * 40 + "\n"]
+    for n in range(10, 70):
+        token = "".join(rng.choice("abcdeklmnorstu") for _ in range(n))
+        lines.append(f"kocka {token[:3]}x{token[4:]} leze\tkočka {token} leze\n")
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("".join(lines), encoding="utf-8")
+    seen = spy_cost_tables(monkeypatch, lambda t: t)
+    assert run("induce", corpus, "--mode", "char-at-subword", "--out", tmp_path / "c.dict") == 0
+    [tables] = {id(t): t for t in seen}.values()
+    bound = sum(_stored_steps(ls) * (ls + 1) for ls in range(STORED_LENGTHS))
+    assert bound == 38_544  # the bound that CostTables documents
+    floats = sum(len(row) for rows in tables.values() for row in rows)
+    # each length below the bound keeps its rows up to its span bound, no more
+    assert floats == sum(_stored_steps(ls) * (ls + 1) for ls in tables) <= bound
+    assert sorted(tables) == [1, 4, 5, *range(10, STORED_LENGTHS)]
 
 
 @pytest.mark.parametrize("command", ["induce", "encode", "evaluate", "analyze"])

@@ -289,7 +289,7 @@ def test_analyze_aligns_each_text_once_and_matches_independent_runs(
                 reference += oracle_upper_bound(pairs, dictionary, tokenizer, (iterations,))
 
     aligned = count_calls(
-        monkeypatch, transform_module, "align", lambda subwords, gold: (tuple(subwords), gold)
+        monkeypatch, transform_module, "align", lambda subwords, gold, *_: (tuple(subwords), gold)
     )
     # the build memo sits inside build_unit_transformation, so count the
     # builders it calls on a miss
@@ -389,7 +389,7 @@ def test_induce_aligns_a_repeated_pair_once(monkeypatch):
     pairs = corrupted_corpus(10, 4, uncased_noise_config(4))
     single = induce(pairs, CHAR_SUB, U, tokenizer=CHUNKS)
     aligned = count_calls(
-        monkeypatch, transform_module, "align", lambda subwords, gold: (tuple(subwords), gold)
+        monkeypatch, transform_module, "align", lambda subwords, gold, *_: (tuple(subwords), gold)
     )
     doubled = induce(pairs + pairs, CHAR_SUB, U, tokenizer=CHUNKS)
     assert set(aligned) == {(tuple(tokenize(p.source, CHUNKS, U)), p.gold) for p in pairs}
@@ -428,7 +428,7 @@ def test_unalignable_pairs_are_skipped(monkeypatch, caplog):
 
     # analyze remembers the failed alignment from its first pass
     aligned = count_calls(
-        monkeypatch, transform_module, "align", lambda subwords, gold: (tuple(subwords), gold)
+        monkeypatch, transform_module, "align", lambda subwords, gold, *_: (tuple(subwords), gold)
     )
     analyze(pairs, U, CHUNKS)
     assert aligned[tuple(tokenize("kocka leze", CHUNKS, U)), "   "] == 1
