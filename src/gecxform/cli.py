@@ -37,7 +37,6 @@ from .textnorm import CasingMode
 from .tokenizer import TokenizerMode, group_words, load_vocab, tokenize
 from .transform import (
     ALL_MODES,
-    DEFAULT_SYNTHETIC_LIMIT,
     UNCORRECTABLE_ID,
     GranularityMode,
     LabeledSentence,
@@ -57,7 +56,7 @@ EXIT_USAGE = 2
 MODE_CHOICES = [mode.label for mode in ALL_MODES]
 
 # Every flag that names an input file; the manifest digests the files they name.
-INPUT_FLAGS = "corpus synthetic dictionary labels hypothesis vocab config input".split()
+INPUT_FLAGS = "corpus dictionary labels hypothesis vocab config input".split()
 
 
 def _int_at_least(minimum: int):
@@ -139,14 +138,11 @@ def cmd_induce(args: argparse.Namespace) -> int:
     casing = CasingMode.parse(args.casing)
     tokenizer = _tokenizer_from_args(args, casing)
     pairs = _load_pairs(args.corpus, args.annotator)
-    synthetic = load_corpus(args.synthetic, annotator=args.annotator) if args.synthetic else []
     dictionary = induce(
         pairs,
         GranularityMode.parse(args.mode),
         casing,
         min_count=args.min_count,
-        synthetic_pairs=synthetic,
-        synthetic_limit=args.synthetic_limit,
         tokenizer=tokenizer,
     )
     summary = f"induced {dictionary.size} transformations"
@@ -292,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODE_CHOICES, required=True)
     p.add_argument("--casing", choices=["cased", "uncased"], default="uncased")
     p.add_argument("--min-count", type=_int_at_least(1), default=1, dest="min_count")
-    p.add_argument("--synthetic", help="synthetic corpus file pooled into induction")
-    p.add_argument("--synthetic-limit", type=_int_at_least(0), default=DEFAULT_SYNTHETIC_LIMIT)
     p.add_argument("--annotator", type=_int_at_least(0), default=0)
     p.add_argument("--out", required=True)
     _add_tokenizer_flags(p)

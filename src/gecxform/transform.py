@@ -47,8 +47,6 @@ KEEP_ID = 1
 _GRAIN_RULES = {"char": CharTransformation, "string": StringTransformation}
 _UNITS = ("subword", "word")
 
-DEFAULT_SYNTHETIC_LIMIT = 1000  # synthetic pairs pooled into induction at most
-
 
 @dataclass(frozen=True)
 class GranularityMode:
@@ -268,13 +266,11 @@ def _units_by_kind(
     gold: str,
     casing: CasingMode,
     tokenizer: TokenizerMode,
-    alignments: AlignmentMemo | None,
-    cost_tables: CostTables | None,
+    alignments: AlignmentMemo,
+    cost_tables: CostTables,
 ) -> dict[str, tuple[list[str], list[str]]]:
     """Tokenize and align once; the (units, spans) lists of each unit kind."""
     subwords = tokenize(source, tokenizer, casing)
-    if alignments is None:
-        alignments = {}
     key = (tuple(subwords), gold)
     if key not in alignments:
         try:
@@ -304,8 +300,11 @@ def unit_pairs(
     ``alignments`` memoizes the alignment by its input: a source that
     tokenizes to subwords already aligned to ``gold`` reuses their spans.
     ``cost_tables`` holds the alignment's cost rows for the whole command
-    (see :class:`gecxform.align.CostTables`).
+    (see :class:`gecxform.align.CostTables`). Without them the pair gets a
+    fresh memo and tables of its own.
     """
+    alignments = {} if alignments is None else alignments
+    cost_tables = CostTables() if cost_tables is None else cost_tables
     return _units_by_kind(source, gold, casing, tokenizer, alignments, cost_tables)[mode.unit]
 
 
@@ -414,11 +413,9 @@ def induce(
     mode: GranularityMode,
     casing: CasingMode,
     min_count: int = 1,
-    synthetic_pairs=(),
-    synthetic_limit: int = DEFAULT_SYNTHETIC_LIMIT,
     tokenizer: TokenizerMode = TokenizerMode.word(),
 ) -> TransformationDictionary:
-    """Induce a transformation dictionary from authentic plus capped synthetic pairs.
+    """Induce a transformation dictionary from the pairs.
 
     Pairs that fail to tokenize or align are skipped with a diagnostic.
     Units whose transformation is unreachable count toward uncorrectable.
@@ -426,12 +423,10 @@ def induce(
     """
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
-    if synthetic_limit < 0:
-        raise ValueError("synthetic_limit must be >= 0")
-    work = list(pairs) + list(synthetic_pairs)[:synthetic_limit]
-    if not work:
+    pairs = list(pairs)
+    if not pairs:
         raise ValueError("induction requires at least one pair")
-    data = corpus_unit_data(work, casing, tokenizer, {}, CostTables())
+    data = corpus_unit_data(pairs, casing, tokenizer, {}, CostTables())
     counts = counts_from_unit_data(data, (mode,), casing)[mode]
     return dictionary_from_counts(counts, mode, casing, min_count)
 

@@ -17,8 +17,11 @@ that goes first alternates from round to round. A tree whose ``align``
 module defines ``CostTables`` gets a fresh one for each pass over the pairs,
 as one command does. Every alignment of tree B must equal tree A's in spans
 and ``total_weight``, or the script exits with status 1. It prints the
-median time of a pass for each tree and A's median over B's (above 1 when B
-is faster).
+median and quartiles of a pass for each tree, the quartiles of the per-round
+ratios A/B with the number of rounds that B won (a tie counts for neither
+tree), and A's median over B's (above 1 when B is faster). Two copies of one
+tree can read ten percent apart, so a gain counts only when B wins nine
+rounds in ten and the medians differ by more than A's quartile spread.
 """
 
 from __future__ import annotations
@@ -72,6 +75,11 @@ def one_pass(align_module, pairs):
     return time.perf_counter() - t0, out
 
 
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """First quartile, median and third quartile, within the range of ``values``."""
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("a_src", type=Path)
@@ -83,6 +91,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-words", type=int, default=14)
     parser.add_argument("--cased", action="store_true")
     args = parser.parse_args(argv)
+    if args.rounds < 2:
+        parser.error("--rounds must be at least 2 for quartiles")
 
     align_a, tokenizer_a = import_tree(args.a_src, "ab_a")
     align_b, _ = import_tree(args.b_src, "ab_b")
@@ -98,11 +108,15 @@ def main(argv: list[str] | None = None) -> int:
             if (a.spans, a.total_weight) != (b.spans, b.total_weight):
                 print(f"alignments differ for {subwords!r} / {gold!r}: {a} != {b}")
                 return 1
-    median_a, median_b = statistics.median(times["A"]), statistics.median(times["B"])
     print(f"{len(pairs)} pairs, {args.rounds} rounds, seed {args.seed}")
-    print(f"A {args.a_src}: median {median_a * 1e3:.2f} ms a pass")
-    print(f"B {args.b_src}: median {median_b * 1e3:.2f} ms a pass")
-    print(f"speedup (A/B): {median_a / median_b:.3f}x")
+    for side, src in (("A", args.a_src), ("B", args.b_src)):
+        low, median, high = (t * 1e3 for t in quartiles(times[side]))
+        print(f"{side} {src}: median {median:.2f} ms a pass, quartiles {low:.2f}-{high:.2f} ms")
+    ratios = [a / b for a, b in zip(times["A"], times["B"])]
+    low, _, high = quartiles(ratios)
+    wins = sum(b < a for a, b in zip(times["A"], times["B"]))
+    print(f"A/B per round: quartiles {low:.3f}-{high:.3f}x, B won {wins} of {args.rounds} rounds")
+    print(f"speedup (A/B): {statistics.median(times['A']) / statistics.median(times['B']):.3f}x")
     return 0
 
 

@@ -1,4 +1,6 @@
 import random
+import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -936,15 +938,52 @@ def test_a_sentence_with_one_long_token_aligns(length):
     assert alignment.span_texts == [" " + w for w in gold.split()]
 
 
-def test_align_ab_script_compares_a_tree_with_itself():
-    tests = Path(__file__).resolve().parent
-    src = tests.parent / "src"
-    done = subprocess.run(
-        [sys.executable, str(tests / "align_ab.py"), str(src), str(src),
-         "--pairs", "2", "--rounds", "2", "--min-words", "3", "--max-words", "5"],
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+
+
+def run_align_ab(a_src, b_src):
+    return subprocess.run(
+        [sys.executable, str(TESTS / "align_ab.py"), str(a_src), str(b_src),
+         "--pairs", "2", "--rounds", "4", "--min-words", "3", "--max-words", "5"],
         capture_output=True, text=True, timeout=60,
     )
+
+
+def test_align_ab_script_compares_a_tree_with_itself():
+    done = run_align_ab(SRC, SRC)
     assert done.returncode == 0, done.stdout + done.stderr
     lines = done.stdout.splitlines()
-    assert lines[0] == "2 pairs, 2 rounds, seed 1"
-    assert lines[-1].startswith("speedup (A/B): ") and lines[-1].endswith("x")
+    assert lines[0] == "2 pairs, 4 rounds, seed 1"
+    number = r"(\d+\.\d+)"
+    for side, line in zip("AB", lines[1:3]):
+        found = re.fullmatch(
+            rf"{side} {re.escape(str(SRC))}: median {number} ms a pass, "
+            rf"quartiles {number}-{number} ms", line,
+        )
+        assert found, line
+        median, low, high = map(float, found.groups())
+        assert low <= median <= high
+    found = re.fullmatch(
+        rf"A/B per round: quartiles {number}-{number}x, B won ([0-4]) of 4 rounds", lines[3]
+    )
+    assert found, lines[3]
+    assert float(found[1]) <= float(found[2])
+    assert re.fullmatch(rf"speedup \(A/B\): {number}x", lines[4]), lines[4]
+    assert len(lines) == 5
+
+
+def test_align_ab_script_fails_on_differing_alignments(tmp_path):
+    shutil.copytree(
+        SRC / "gecxform", tmp_path / "gecxform", ignore=shutil.ignore_patterns("__pycache__")
+    )
+    with open(tmp_path / "gecxform" / "align.py", "a", encoding="utf-8") as module:
+        module.write(
+            "\n_align = align\n\n\n"
+            "def align(subwords, gold, cost_tables=None):\n"
+            "    a = _align(subwords, gold, cost_tables)\n"
+            "    return Alignment(a.gold, a.spans, a.total_weight + 1.0)\n"
+        )
+    done = run_align_ab(SRC, tmp_path)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert done.stdout.startswith("alignments differ for ")

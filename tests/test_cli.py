@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -53,6 +54,42 @@ def run_module(cwd, *argv):
     )
 
 
+def worked_run_steps():
+    """README.md's worked run: each ``$`` line with the lines shown below it."""
+    text = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## A worked run\n", 1)[1].split("\n## ", 1)[0]
+    steps = []
+    for line in section.splitlines():
+        if line.startswith("    $ "):
+            steps.append((line[6:], []))
+        elif line.startswith("    "):
+            steps[-1][1].append(line[4:])
+    return steps
+
+
+def test_readme_worked_run(tmp_path):
+    (command, gold), *steps = worked_run_steps()
+    assert command == "cat gold.txt"
+    (tmp_path / "gold.txt").write_text("".join(f"{line}\n" for line in gold), encoding="utf-8")
+    commands = []
+    for command, shown in steps:
+        program, *argv = shlex.split(command)
+        if program == "python":
+            assert argv[:2] == ["-m", "gecxform"], command
+            done = run_module(tmp_path, *argv[2:])
+            assert (done.returncode, done.stderr) == (0, ""), command
+            out = done.stdout
+            commands.append(argv[2])
+        elif program == "cat":
+            (name,) = argv
+            out = (tmp_path / name).read_text(encoding="utf-8")
+        else:
+            assert (program, argv[0]) == ("head", "-1"), command
+            out = (tmp_path / argv[1]).read_text(encoding="utf-8").splitlines(True)[0]
+        assert out == "".join(f"{line}\n" for line in shown), command
+    assert commands == ["corrupt", "induce", "encode", "apply", "evaluate", "analyze"]
+
+
 def test_module_entry_point_prints_the_version(tmp_path):
     done = run_module(tmp_path, "--version")
     assert done.returncode == 0
@@ -80,6 +117,21 @@ def test_induce_worked_example(fig_files, tmp_path):
     assert manifest["command"] == "induce"
     assert set(manifest["inputs"]) == {str(corpus), str(vocab)}
     assert all(len(digest) == 64 for digest in manifest["inputs"].values())
+
+
+def test_induce_pools_every_corpus_it_is_given(tmp_path):
+    pairs = corrupted_corpus(8, 3, uncased_noise_config(3))
+    first, second, both = (tmp_path / name for name in ("a.tsv", "b.tsv", "ab.tsv"))
+    first.write_text(serialize_tsv(pairs[:5]), encoding="utf-8")
+    second.write_text(serialize_tsv(pairs[5:]), encoding="utf-8")
+    both.write_text(serialize_tsv(pairs), encoding="utf-8")
+    for corpora, out in (([first, second], "pooled.dict"), ([both], "joined.dict")):
+        assert run("induce", *corpora, "--mode", "char-at-subword", "--out", tmp_path / out) == 0
+    pooled = (tmp_path / "pooled.dict").read_bytes()
+    assert pooled == (tmp_path / "joined.dict").read_bytes()
+    assert load_dictionary(tmp_path / "pooled.dict").size > 2
+    manifest = json.loads((tmp_path / "pooled.dict.manifest.json").read_text())
+    assert set(manifest["inputs"]) == {str(first), str(second)}
 
 
 def test_induce_huge_min_count(fig_files, tmp_path):
@@ -116,13 +168,12 @@ def test_induce_malformed_corpus_exits_2(tmp_path):
     "argv",
     [
         ["induce", "--mode", "char-at-word", "--min-count", "0"],
-        ["induce", "--mode", "char-at-word", "--synthetic-limit", "-1"],
         ["induce", "--mode", "char-at-word", "--tokenizer", "chars", "--chunk-size", "0"],
         ["analyze", "--min-counts", "2", "0"],
         ["analyze", "--iterations", "0"],
         ["analyze", "--annotator", "-1"],
     ],
-    ids=["min-count", "synthetic-limit", "chunk-size", "min-counts", "iterations", "annotator"],
+    ids=["min-count", "chunk-size", "min-counts", "iterations", "annotator"],
 )
 def test_out_of_range_number_exits_2(fig_files, tmp_path, capsys, argv):
     corpus, _ = fig_files
@@ -383,6 +434,15 @@ def test_encode_has_no_seed_flag(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run("encode", "c.tsv", "--dict", "d.dict", "--seed", "1", "--out", tmp_path / "x")
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["--synthetic", "--synthetic-limit"])
+def test_induce_has_no_synthetic_flags(fig_files, tmp_path, flag):
+    corpus, _ = fig_files
+    with pytest.raises(SystemExit) as exc:
+        run("induce", corpus, "--mode", "char-at-word", flag, corpus, "--out", tmp_path / "x")
+    assert exc.value.code == 2
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize(

@@ -107,30 +107,6 @@ def test_induce_threshold_monotone():
         assert smaller <= larger
 
 
-def test_induce_pools_synthetic_pairs_up_to_the_default_limit():
-    synthetic = [SentencePair("cat", "cats")] * 3
-    dictionary = induce([SentencePair("dog", "dog")], CHAR_SUB, U, synthetic_pairs=synthetic)
-    assert {e.count for e in dictionary.entries if e.ident > KEEP_ID} == {3}
-
-
-def test_induce_synthetic_cap():
-    synthetic = [FIG_PAIR, SentencePair("fes", "ves"), SentencePair("rin", "ring")]
-    dictionary = induce(
-        [SentencePair("x", "x")],
-        CHAR_SUB,
-        U,
-        min_count=1,
-        synthetic_pairs=synthetic,
-        synthetic_limit=1,
-        tokenizer=FIG_VOCAB,
-    )
-    forms = {dumps_line(e) for e in dictionary.entries}
-    # only the first synthetic pair is pooled
-    assert "CHAR rep@s1=v" in forms
-    assert "CHAR ins@e1=g" in forms  # from the Figure pair's "rin" -> "ring"
-    assert not any("ins@s" in f for f in forms)
-
-
 def test_word_tokenizer_makes_unit_kinds_agree():
     pairs = [SentencePair("kocka leze", "Kočka leze"), SentencePair("pes stek", "pes štěká")]
     sub = induce(pairs, CHAR_SUB, U, min_count=1, tokenizer=TokenizerMode.word())
