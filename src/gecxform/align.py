@@ -32,9 +32,8 @@ its start (``edit_distances``).
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from itertools import accumulate, repeat, tee
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .textnorm import alignment_cuts, alignment_normalize
 from .tokenizer import WORD_LEAD
@@ -155,8 +154,7 @@ def edit_distances(a: str, text: str):
         yield dist
 
 
-@dataclass(frozen=True)
-class Alignment:
+class Alignment(NamedTuple):
     """Per-subword spans over ``gold`` (the corrected sentence with one leading space).
 
     Spans are half-open ``(start, end)`` character offsets, non-overlapping and

@@ -6,7 +6,7 @@ import random
 import unicodedata
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import FormatError
 from .textnorm import strip_diacritics
@@ -52,8 +52,7 @@ class GoldEdit:
             raise ValueError("annotator must be >= 0")
 
 
-@dataclass(frozen=True)
-class SentencePair:
+class SentencePair(NamedTuple):
     source: str
     gold: str
     gold_edits: tuple[GoldEdit, ...] = ()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import FormatError
 from .textnorm import CasingMode, case_diff, fold, strip_diacritics
@@ -58,8 +59,7 @@ class CharEdit:
             raise ValueError("dia payload must be a single character")
 
 
-@dataclass(frozen=True)
-class CharTransformation:
+class CharTransformation(NamedTuple):
     """A character-edit program.
 
     ``base_edits`` address positions of the unit before any edit;
@@ -88,11 +88,11 @@ class StringTransformation:
             raise ValueError(f"{self.op} requires a non-empty payload")
 
 
-@dataclass(frozen=True)
 class UncorrectableMarker:
     """Distinguished label: no transformation produces the correction.
 
-    Decoded as identity.
+    Decoded as identity. ``UNCORRECTABLE`` is the only instance, and it
+    compares by identity.
     """
 
 

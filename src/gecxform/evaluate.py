@@ -25,8 +25,7 @@ asks for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .align import CostTables
 from .corpus import SentencePair
@@ -74,8 +73,7 @@ def f_beta(tp: int, fp: int, fn: int) -> float:
     return (1.0 + b2) * precision * recall / (b2 * precision + recall)
 
 
-@dataclass(frozen=True)
-class EvalCounts:
+class EvalCounts(NamedTuple):
     tp: int
     fp: int
     fn: int
@@ -158,8 +156,7 @@ def score(
     return EvalCounts.from_counts(tp, fp, fn)
 
 
-@dataclass(frozen=True)
-class OracleAnalysisRow:
+class OracleAnalysisRow(NamedTuple):
     """One configuration of the upper-bound sweep.
 
     The sweep also varies the iteration count, so rows carry it alongside the
@@ -174,7 +171,6 @@ class OracleAnalysisRow:
     counts: EvalCounts
 
 
-@dataclass
 class OracleMemo:
     """The dictionary-independent work of oracle runs, shared between them.
 
@@ -185,10 +181,11 @@ class OracleMemo:
     on the dictionary and are memoized by it, not here.
     """
 
-    alignments: AlignmentMemo = field(default_factory=dict)
-    cost_tables: CostTables = field(default_factory=CostTables, repr=False)
-    builds: BuildMemo = field(default_factory=dict)
-    edits: EditMemo = field(default_factory=dict)
+    def __init__(self) -> None:
+        self.alignments: AlignmentMemo = {}
+        self.cost_tables = CostTables()
+        self.builds: BuildMemo = {}
+        self.edits: EditMemo = {}
 
 
 def _upper_bound_outputs(
@@ -304,7 +301,7 @@ def analyze(
     for mode in ALL_MODES:
         if mode not in modes:
             twin = GranularityMode(mode.grain, "subword")
-            rows += [replace(row, mode=mode) for row in rows if row.mode == twin]
+            rows += [row._replace(mode=mode) for row in rows if row.mode == twin]
             continue
         for min_count in min_counts:
             dictionary = dictionary_from_counts(counters[mode], mode, casing, min_count)

@@ -15,6 +15,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .align import CostTables, align
 from .corpus import load_text, split_lines
@@ -76,8 +77,7 @@ ALL_MODES = tuple(
 )
 
 
-@dataclass(frozen=True)
-class DictEntry:
+class DictEntry(NamedTuple):
     ident: int
     count: int
     transformation: Transformation

@@ -96,6 +96,19 @@ def test_induce_counting_oracle():
     assert all(c == 3 for t, c in counts.items() if not isinstance(t, UncorrectableMarker))
 
 
+def test_every_uncorrectable_marker_is_the_one_object():
+    # the marker compares by identity, so every lookup of entry 0 relies on this
+    assert parse_transformation("UNCORRECTABLE") is UNCORRECTABLE
+    # the deleted word " kocka" is counted as uncorrectable, then thresholded
+    pairs = [SentencePair("kocka pes", "pes")]
+    dictionary = induce(pairs, STRING_WORD, U, min_count=1, tokenizer=TokenizerMode.word())
+    assert dictionary.entries[UNCORRECTABLE_ID] == DictEntry(UNCORRECTABLE_ID, 1, UNCORRECTABLE)
+    assert dictionary.entries[UNCORRECTABLE_ID].transformation is UNCORRECTABLE
+    loaded = loads_dictionary(dumps_dictionary(dictionary))
+    assert loaded.entries[UNCORRECTABLE_ID].transformation is UNCORRECTABLE
+    assert loaded == dictionary
+
+
 def test_induce_threshold_monotone():
     pairs = [FIG_PAIR, FIG_PAIR, SentencePair("fes rin", "ves rin")]
     by_count = {
